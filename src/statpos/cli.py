@@ -1,13 +1,14 @@
 """Command-line interface: train, tag, eval and probe subcommands."""
 
 import argparse
+import contextlib
 import sys
 
 from . import corpus as corpus_io
 from . import counts as counts_mod
 from . import evaluation, taggers
 from .counts import SmoothingConfig, UNIFORM_OPEN_CLASS
-from .errors import EmptyLine, StatposError
+from .errors import EmptyLine, IoFailure, StatposError
 from .tagset import Tagset, default_tagset
 
 
@@ -70,12 +71,7 @@ def build_parser():
 
 def cmd_train(args):
     tagset = Tagset.from_file(args.tagset) if args.tagset else default_tagset()
-    try:
-        sentences, skipped = corpus_io.load_corpus(args.corpus, tagset,
-                                                   strict=not args.lenient)
-    except StatposError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    sentences, skipped = corpus_io.load_corpus(args.corpus, tagset, strict=not args.lenient)
     if not sentences:
         print("error: empty corpus", file=sys.stderr)
         return 2
@@ -93,16 +89,19 @@ def cmd_train(args):
     return 0
 
 
+def _open(path, mode):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as e:
+        raise IoFailure(str(e)) from e
+
+
 def cmd_tag(args):
-    try:
-        model = counts_mod.load_model(args.model)
-    except StatposError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    model = counts_mod.load_model(args.model)
     config = taggers.TaggerConfig(method=args.method, smoothing=_smoothing_from(args))
-    instream = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    outstream = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
+    with contextlib.ExitStack() as stack:
+        instream = stack.enter_context(_open(args.input, "r")) if args.input else sys.stdin
+        outstream = stack.enter_context(_open(args.output, "w")) if args.output else sys.stdout
         for raw in instream:
             line = raw.rstrip("\r\n")
             if not line.strip():
@@ -116,11 +115,6 @@ def cmd_tag(args):
                 continue
             tagged = taggers.tag_sentence(words, model, config)
             outstream.write(corpus_io.serialize_tagged_sentence(tagged) + "\n")
-    finally:
-        if args.input:
-            instream.close()
-        if args.output:
-            outstream.close()
     return 0
 
 
@@ -133,12 +127,8 @@ def cmd_eval(args):
         print("error: --model, --method and --gold are required without --counts",
               file=sys.stderr)
         return 1
-    try:
-        model = counts_mod.load_model(args.model)
-        gold, _ = corpus_io.load_corpus(args.gold, model.tagset, strict=True)
-    except StatposError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    model = counts_mod.load_model(args.model)
+    gold, _ = corpus_io.load_corpus(args.gold, model.tagset, strict=True)
     config = taggers.TaggerConfig(method=args.method, smoothing=_smoothing_from(args))
     predicted = [taggers.tag_sentence([w for w, _ in s], model, config) for s in gold]
     report = evaluation.evaluate(gold, predicted)
@@ -151,11 +141,7 @@ def _fmt_prob(p):
 
 
 def cmd_probe(args):
-    try:
-        model = counts_mod.load_model(args.model)
-    except StatposError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    model = counts_mod.load_model(args.model)
     smoothing = _smoothing_from(args)
     raw_smoothing = SmoothingConfig(alpha=0.0, lambda3=1.0, lambda2=0.0, lambda1=0.0,
                                     unknown_policy=smoothing.unknown_policy,

@@ -6,6 +6,8 @@ padded with START/END sentinels (double START for trigram contexts) so every
 transition query is well-defined at the edges.
 """
 
+import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -193,8 +195,10 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 # UTF-8 lines.  Header "NGRAM-POS-MODEL v1", then sections [tagset],
 # [word_tag], [tag], [bigram], [trigram]; tab-separated records (keys then an
 # integer count), each terminated by "count=<records>".  Sentinels are spelled
-# <S> and </S>.
+# <S> and </S>.  Records in every section but [tagset] contain a tab, and tag
+# labels never start with "count=", so no record reads as a terminator.
 
+_TERMINATOR = re.compile(r"count=([0-9]+)")
 _SENTINEL_OUT = {START: START_SERIALIZED, END: END_SERIALIZED}
 _SENTINEL_IN = {v: k for k, v in _SENTINEL_OUT.items()}
 
@@ -208,9 +212,17 @@ def _tag_in(label):
 
 
 def save_model(model, sink):
+    """Write to a text stream, or to a path atomically: a temporary file in
+    the same directory is renamed over the target once it is complete."""
     if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w", encoding="utf-8") as fh:
-            _write_model(model, fh)
+        tmp = f"{os.fsdecode(sink)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                _write_model(model, fh)
+            os.replace(tmp, sink)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     else:
         _write_model(model, sink)
 
@@ -266,13 +278,14 @@ def _read_model(fh):
         name = name_line[1:-1]
         i += 1
         records = []
-        while i < len(lines) and not lines[i].startswith("count="):
+        while i < len(lines) and not (lines[i].startswith("count=")
+                                      and _TERMINATOR.fullmatch(lines[i])):
             records.append(lines[i].split("\t"))
             i += 1
         if i >= len(lines):
             raise CorruptSection(f"section {name!r} missing count terminator")
-        declared = lines[i][len("count="):]
-        if not declared.isdigit() or int(declared) != len(records):
+        declared = int(_TERMINATOR.fullmatch(lines[i]).group(1))
+        if declared != len(records):
             raise CorruptSection(
                 f"section {name!r} declares {declared} records, found {len(records)}")
         sections[name] = records

@@ -115,19 +115,3 @@ def format_report(report, style="plain"):
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report style {style!r}")
 
-
-def parse_tsv_report(text):
-    """Rebuild counts from TSV output; inverse of format_report(style='tsv')."""
-    total = correct = 0
-    confusion = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if fields[0] == "total_tokens":
-            total = int(fields[1])
-        elif fields[0] == "correct_tokens":
-            correct = int(fields[1])
-        elif fields[0] == "confusion":
-            confusion[(fields[1], fields[2])] = int(fields[3])
-    return total, correct, confusion

@@ -1,45 +1,28 @@
-"""Viterbi decoding kernels.
+"""Viterbi decoding kernels: one numpy max-product dynamic program per model
+order.
 
-Each kernel exists twice: a numba @njit build and a pure-numpy fallback.
-The active implementation is chosen at import time; set STATPOS_NO_NUMBA=1
-to force the numpy path (or leave numba uninstalled).  Both paths compute
-the same backward dynamic program and reconstruct the path forward, picking
-the smallest tag index whenever several choices achieve the maximum, so the
-returned sequence is the lexicographically smallest maximizer.
+Each order's recurrence is written once.  The backward pass
+(`_backward_bigram`, `_backward_trigram`) fills beta[i], the best score of
+positions i..n-1 given the state at i (a tag for the bigram, the pair of the
+previous and current tag for the trigram).  `viterbi_*` reconstructs the path
+forward from beta; `max_marginals_*` also runs the forward pass, so that
+alpha + beta - emit at a position is the best total score with that position
+pinned to each tag.
+
+Path reconstruction picks, at every step, the smallest tag index among the
+candidates that achieve the maximum (within TIE_TOL), so the returned
+sequence is the lexicographically smallest maximizer.
 
 All inputs are float64 log-probability tables; tag indices follow the
 lexicographic ordering of the tag labels.
 """
 
-import os
-
 import numpy as np
-
-NEG_INF = float("-inf")
 
 # Path reconstruction treats candidates within this margin of the maximum as
 # tied and picks the smallest tag index.  Exact ties re-summed in a different
 # order drift by ~1e-13; genuinely distinct paths differ by far more.
 TIE_TOL = 1e-10
-
-
-def _viterbi_bigram_py(emit, start, trans, end):
-    """emit (n,T); start (T,); trans (T,T); end (T,).  Interior transitions
-    are whatever `trans` holds, so the HMM decoder can pass doubled weights."""
-    n, T = emit.shape
-    beta = np.empty((n, T))
-    beta[n - 1] = emit[n - 1] + end
-    for i in range(n - 2, -1, -1):
-        beta[i] = emit[i] + np.max(trans + beta[i + 1][None, :], axis=1)
-
-    path = np.empty(n, dtype=np.int64)
-    totals = start + beta[0]
-    path[0] = _first_argmax(totals)
-    score = totals[path[0]]
-    for i in range(1, n):
-        cand = trans[path[i - 1]] + beta[i]
-        path[i] = _first_argmax(cand)
-    return path, score
 
 
 def _first_argmax(values):
@@ -50,16 +33,69 @@ def _first_argmax(values):
     return 0
 
 
-def _viterbi_trigram_py(emit, start2, tri, tri_end):
-    """emit (n,T); start2 (T,) = P(t1|START,START); tri (T+1,T,T) with row T
-    holding the START context; tri_end (T+1,T) = P(END | a, b)."""
+def _pinned(margins):
+    # -inf - -inf from zero-probability emissions; pin those back to -inf
+    return np.where(np.isnan(margins), -np.inf, margins)
+
+
+# --- first order: emit (n,T); start (T,); trans (T,T); end (T,) --------------
+# Interior transitions are whatever `trans` holds, so the HMM decoder can pass
+# doubled weights.
+
+def _backward_bigram(emit, trans, end):
+    n, T = emit.shape
+    beta = np.empty((n, T))
+    beta[n - 1] = emit[n - 1] + end
+    for i in range(n - 2, -1, -1):
+        beta[i] = emit[i] + np.max(trans + beta[i + 1][None, :], axis=1)
+    return beta
+
+
+def _path_bigram(start, trans, beta):
+    n = beta.shape[0]
+    path = np.empty(n, dtype=np.int64)
+    totals = start + beta[0]
+    path[0] = _first_argmax(totals)
+    score = totals[path[0]]
+    for i in range(1, n):
+        cand = trans[path[i - 1]] + beta[i]
+        path[i] = _first_argmax(cand)
+    return path, score
+
+
+def viterbi_bigram(emit, start, trans, end):
+    """Best path and its score."""
+    return _path_bigram(start, trans, _backward_bigram(emit, trans, end))
+
+
+def max_marginals_bigram(emit, start, trans, end):
+    """Best path, its score, and margins (n,T): margins[i, t] is the best
+    total score with position i pinned to tag t."""
+    beta = _backward_bigram(emit, trans, end)
+    path, score = _path_bigram(start, trans, beta)
+    n, T = emit.shape
+    alpha = np.empty((n, T))
+    alpha[0] = start + emit[0]
+    for i in range(1, n):
+        alpha[i] = emit[i] + np.max(alpha[i - 1][:, None] + trans, axis=0)
+    return path, score, _pinned(alpha + beta - emit)
+
+
+# --- second order: emit (n,T); start2 (T,) = P(t1|START,START); tri (T+1,T,T)
+# with row T holding the START context; tri_end (T+1,T) = P(END | a, b) -------
+
+def _backward_trigram(emit, tri, tri_end):
     n, T = emit.shape
     beta = np.empty((n, T + 1, T))
     beta[n - 1] = emit[n - 1][None, :] + tri_end
     for i in range(n - 2, -1, -1):
         # max over successor c of tri[a, b, c] + beta[i+1, b, c]
         beta[i] = emit[i][None, :] + np.max(tri + beta[i + 1, :T][None, :, :], axis=2)
+    return beta
 
+
+def _path_trigram(start2, tri, beta):
+    n, T = beta.shape[0], beta.shape[2]
     path = np.empty(n, dtype=np.int64)
     totals = start2 + beta[0, T]
     path[0] = _first_argmax(totals)
@@ -72,111 +108,20 @@ def _viterbi_trigram_py(emit, start2, tri, tri_end):
     return path, score
 
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-
-    @njit(cache=True)
-    def _viterbi_bigram_jit(emit, start, trans, end):  # pragma: no cover - numba
-        n, T = emit.shape
-        beta = np.empty((n, T))
-        for s in range(T):
-            beta[n - 1, s] = emit[n - 1, s] + end[s]
-        for i in range(n - 2, -1, -1):
-            for s in range(T):
-                best = NEG_INF
-                for t in range(T):
-                    v = trans[s, t] + beta[i + 1, t]
-                    if v > best:
-                        best = v
-                beta[i, s] = emit[i, s] + best
-
-        path = np.empty(n, dtype=np.int64)
-        best = NEG_INF
-        for s in range(T):
-            v = start[s] + beta[0, s]
-            if v > best:
-                best = v
-        idx = 0
-        for s in range(T):
-            if start[s] + beta[0, s] >= best - TIE_TOL:
-                idx = s
-                break
-        path[0] = idx
-        score = start[idx] + beta[0, idx]
-        for i in range(1, n):
-            prev = path[i - 1]
-            best = NEG_INF
-            for t in range(T):
-                v = trans[prev, t] + beta[i, t]
-                if v > best:
-                    best = v
-            idx = 0
-            for t in range(T):
-                if trans[prev, t] + beta[i, t] >= best - TIE_TOL:
-                    idx = t
-                    break
-            path[i] = idx
-        return path, score
-
-    @njit(cache=True)
-    def _viterbi_trigram_jit(emit, start2, tri, tri_end):  # pragma: no cover - numba
-        n, T = emit.shape
-        beta = np.empty((n, T + 1, T))
-        for a in range(T + 1):
-            for b in range(T):
-                beta[n - 1, a, b] = emit[n - 1, b] + tri_end[a, b]
-        for i in range(n - 2, -1, -1):
-            for a in range(T + 1):
-                for b in range(T):
-                    best = NEG_INF
-                    for c in range(T):
-                        v = tri[a, b, c] + beta[i + 1, b, c]
-                        if v > best:
-                            best = v
-                    beta[i, a, b] = emit[i, b] + best
-
-        path = np.empty(n, dtype=np.int64)
-        best = NEG_INF
-        for b in range(T):
-            v = start2[b] + beta[0, T, b]
-            if v > best:
-                best = v
-        idx = 0
-        for b in range(T):
-            if start2[b] + beta[0, T, b] >= best - TIE_TOL:
-                idx = b
-                break
-        path[0] = idx
-        score = start2[idx] + beta[0, T, idx]
-        for i in range(1, n):
-            a = T if i == 1 else path[i - 2]
-            b = path[i - 1]
-            best = NEG_INF
-            for c in range(T):
-                v = tri[a, b, c] + beta[i, b, c]
-                if v > best:
-                    best = v
-            idx = 0
-            for c in range(T):
-                if tri[a, b, c] + beta[i, b, c] >= best - TIE_TOL:
-                    idx = c
-                    break
-            path[i] = idx
-        return path, score
-
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-    _viterbi_bigram_jit = None
-    _viterbi_trigram_jit = None
+def viterbi_trigram(emit, start2, tri, tri_end):
+    """Best path and its score."""
+    return _path_trigram(start2, tri, _backward_trigram(emit, tri, tri_end))
 
 
-USING_NUMBA = HAVE_NUMBA and os.environ.get("STATPOS_NO_NUMBA", "") not in ("1", "true", "yes")
-
-if USING_NUMBA:
-    viterbi_bigram = _viterbi_bigram_jit
-    viterbi_trigram = _viterbi_trigram_jit
-else:
-    viterbi_bigram = _viterbi_bigram_py
-    viterbi_trigram = _viterbi_trigram_py
+def max_marginals_trigram(emit, start2, tri, tri_end):
+    """Best path, its score, and margins (n,T) as in max_marginals_bigram."""
+    beta = _backward_trigram(emit, tri, tri_end)
+    path, score = _path_trigram(start2, tri, beta)
+    n, T = emit.shape
+    # pair states (t_{i-1}, t_i); axis index T = START
+    alpha = np.full((n, T + 1, T), -np.inf)
+    alpha[0, T] = start2 + emit[0]
+    for i in range(1, n):
+        # alpha[i, b, c] = emit[i, c] + max_a alpha[i-1, a, b] + tri[a, b, c]
+        alpha[i, :T] = emit[i][None, :] + np.max(alpha[i - 1][:, :, None] + tri, axis=0)
+    return path, score, np.max(_pinned(alpha + beta - emit[:, None, :]), axis=1)

@@ -147,39 +147,42 @@ def tag_unigram(sentence, model, config):
     return out
 
 
-def _run_first_order(sentence, model, smoothing, double_interior):
+def _dp_tables(sentence, model, smoothing, method):
+    """Labels and the kernel argument tables of a DP method: first-order
+    (emit, start, trans, end), with doubled interior transitions for hmm, or
+    second-order (emit, start2, tri, tri_end) for trigram."""
+    if method == "trigram":
+        labels, start2, tri, tri_end = trigram_tables(model, smoothing)
+        emit = emission_table(model, smoothing, sentence, labels)
+        return labels, (emit, start2, tri, tri_end)
     labels, start, trans, end = transition_tables(model, smoothing)
     emit = emission_table(model, smoothing, sentence, labels)
-    interior = 2.0 * trans if double_interior else trans
-    path, score = kernels.viterbi_bigram(emit, start, interior, end)
-    return [(w, labels[j]) for w, j in zip(sentence, path)], score
+    interior = 2.0 * trans if method == "hmm" else trans
+    return labels, (emit, start, interior, end)
+
+
+def _tag_dp(sentence, model, smoothing, method):
+    if not sentence:
+        raise EmptySentence()
+    labels, tables = _dp_tables(sentence, model, smoothing, method)
+    kernel = kernels.viterbi_trigram if method == "trigram" else kernels.viterbi_bigram
+    path, _ = kernel(*tables)
+    return [(w, labels[j]) for w, j in zip(sentence, path)]
 
 
 def tag_bigram(sentence, model, config):
-    if not sentence:
-        raise EmptySentence()
-    tagged, _ = _run_first_order(sentence, model, config.smoothing, False)
-    return tagged
+    return _tag_dp(sentence, model, config.smoothing, "bigram")
 
 
 def tag_hmm(sentence, model, config):
     """Bidirectional-context objective: each position scores its transition
     from the previous tag and to the next tag, so interior transitions carry
     doubled weight in the equivalent first-order dynamic program."""
-    if not sentence:
-        raise EmptySentence()
-    tagged, _ = _run_first_order(sentence, model, config.smoothing, True)
-    return tagged
+    return _tag_dp(sentence, model, config.smoothing, "hmm")
 
 
 def tag_trigram(sentence, model, config):
-    if not sentence:
-        raise EmptySentence()
-    smoothing = config.smoothing
-    labels, start2, tri, tri_end = trigram_tables(model, smoothing)
-    emit = emission_table(model, smoothing, sentence, labels)
-    path, _ = kernels.viterbi_trigram(emit, start2, tri, tri_end)
-    return [(w, labels[j]) for w, j in zip(sentence, path)]
+    return _tag_dp(sentence, model, config.smoothing, "trigram")
 
 
 def tag_sentence(sentence, model, config):
@@ -265,9 +268,9 @@ def decode_with_trace(sentence, model, config):
     if not sentence:
         raise EmptySentence()
     smoothing = config.smoothing
-    tagged = tag_sentence(sentence, model, config)
 
     if config.method == "unigram":
+        tagged = tag_unigram(sentence, model, config)
         positions = []
         total = 0.0
         for word in sentence:
@@ -280,41 +283,11 @@ def decode_with_trace(sentence, model, config):
                   for pos in positions]
         return tagged, DecodeTrace(traced, score_sequence(sentence, [t for _, t in tagged], model, config))
 
-    if config.method in ("bigram", "hmm"):
-        labels, start, trans, end = transition_tables(model, smoothing)
-        if config.method == "hmm":
-            trans = 2.0 * trans
-        emit = emission_table(model, smoothing, sentence, labels)
-        n, T = emit.shape
-        alpha = np.full((n, T), NEG_INF)
-        alpha[0] = start + emit[0]
-        for i in range(1, n):
-            alpha[i] = emit[i] + np.max(alpha[i - 1][:, None] + trans, axis=0)
-        beta = np.full((n, T), NEG_INF)
-        beta[n - 1] = emit[n - 1] + end
-        for i in range(n - 2, -1, -1):
-            beta[i] = emit[i] + np.max(trans + beta[i + 1][None, :], axis=1)
-        margins = alpha + beta - emit
-    else:
-        labels, start2, tri, tri_end = trigram_tables(model, smoothing)
-        emit = emission_table(model, smoothing, sentence, labels)
-        n, T = emit.shape
-        # pair states (t_{i-1}, t_i); axis index T = START
-        alpha = np.full((n, T + 1, T), NEG_INF)
-        alpha[0, T] = start2 + emit[0]
-        for i in range(1, n):
-            # alpha[i, b, c] = emit[i, c] + max_a alpha[i-1, a, b] + tri[a, b, c]
-            alpha[i, :T] = emit[i][None, :] + np.max(
-                alpha[i - 1][:, :, None] + tri, axis=0)
-        beta = np.full((n, T + 1, T), NEG_INF)
-        beta[n - 1] = emit[n - 1][None, :] + tri_end
-        for i in range(n - 2, -1, -1):
-            beta[i] = emit[i][None, :] + np.max(tri + beta[i + 1, :T][None, :, :], axis=2)
-        margins = np.max(alpha + beta - emit[:, None, :], axis=1)
-
-    # -inf - -inf from zero-probability emissions; pin those back to -inf
-    margins = np.where(np.isnan(margins), NEG_INF, margins)
+    labels, tables = _dp_tables(sentence, model, smoothing, config.method)
+    max_marginals = (kernels.max_marginals_trigram if config.method == "trigram"
+                     else kernels.max_marginals_bigram)
+    path, path_score, margins = max_marginals(*tables)
+    tagged = [(w, labels[j]) for w, j in zip(sentence, path)]
     positions = [{t: float(margins[i, j]) for j, t in enumerate(labels)}
                  for i in range(len(sentence))]
-    path_score = score_sequence(sentence, [t for _, t in tagged], model, config)
-    return tagged, DecodeTrace(positions, path_score)
+    return tagged, DecodeTrace(positions, float(path_score))

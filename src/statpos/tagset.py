@@ -5,7 +5,7 @@ sentence boundaries internally; they are never valid in corpus files and are
 excluded from every user-visible tagset.
 """
 
-from .errors import StatposError
+from .errors import IoFailure, StatposError
 
 START = "START"
 END = "END"
@@ -37,6 +37,8 @@ def _check_label(label):
         raise InvalidTagLabel(f"tag label {label!r} contains whitespace or '/'")
     if label in (START, END):
         raise InvalidTagLabel(f"{label!r} is a reserved sentinel")
+    if label.startswith("count="):
+        raise InvalidTagLabel(f"{label!r} would read as a model-file section terminator")
 
 
 class Tagset:
@@ -73,12 +75,15 @@ class Tagset:
     def from_file(cls, path):
         """Read a tagset file: one label per line, '#' comments ignored."""
         labels = []
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                labels.append(line)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for raw in fh:
+                    line = raw.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    labels.append(line)
+        except OSError as e:
+            raise IoFailure(str(e)) from e
         return cls(labels)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from statpos import cli
 from statpos.cli import main
 
 TRAIN = "a/NN b/VM\nc/JJ d/QC\na/NN d/QC\n"
@@ -68,6 +69,29 @@ class TestTrain:
         assert code == 0
         assert "tags: 2" in out
 
+    def test_missing_tagset(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a/NN\n", encoding="utf-8")
+        code, out, err = run(capsys, ["train", "--corpus", str(corpus),
+                                      "--model", str(tmp_path / "m.txt"),
+                                      "--tagset", str(tmp_path / "nope.txt")])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nope.txt" in err
+
+    def test_word_spelled_like_terminator(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a/NN count=1/NN b/VM\n", encoding="utf-8")
+        model = tmp_path / "m.txt"
+        assert main(["train", "--corpus", str(corpus), "--model", str(model)]) == 0
+        src = tmp_path / "in.txt"
+        src.write_text("count=1 b\n", encoding="utf-8")
+        out_path = tmp_path / "out.txt"
+        assert main(["tag", "--model", str(model), "--method", "bigram",
+                     "--input", str(src), "--output", str(out_path)]) == 0
+        assert out_path.read_text(encoding="utf-8") == "count=1/NN b/VM\n"
+
 
 class TestTag:
     def test_single_path(self, model_path, tmp_path, capsys):
@@ -105,6 +129,34 @@ class TestTag:
                      "--unknown-policy", "NN",
                      "--input", str(src), "--output", str(out_path)]) == 0
         assert out_path.read_text(encoding="utf-8") == "zzz/NN\n"
+
+    def test_missing_input(self, model_path, tmp_path, capsys):
+        code, out, err = run(capsys, ["tag", "--model", str(model_path), "--method", "hmm",
+                                      "--input", str(tmp_path / "missing.txt")])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.txt" in err
+
+    def test_unwritable_output(self, model_path, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+        code, out, err = run(capsys, ["tag", "--model", str(model_path), "--method", "hmm",
+                                      "--input", str(src),
+                                      "--output", str(tmp_path / "nonexistent" / "o.txt")])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "o.txt" in err
+        assert opened and all(fh.closed for fh in opened)
 
     def test_missing_model(self, tmp_path, capsys):
         code, _, err = run(capsys, ["tag", "--model", str(tmp_path / "none.txt"),

@@ -130,6 +130,10 @@ class TestTagset:
         with pytest.raises(InvalidTagLabel):
             Tagset(["A/B"])
 
+    def test_terminator_like_label_rejected(self):
+        with pytest.raises(InvalidTagLabel):
+            Tagset(["NN", "count=1"])
+
     def test_from_file_with_comments(self, tmp_path):
         path = tmp_path / "tags.txt"
         path.write_text("# custom tagset\nNN\nVM\n\nJJ\n", encoding="utf-8")

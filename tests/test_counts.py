@@ -2,6 +2,7 @@ import io
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from statpos import (
     SmoothingConfig,
@@ -23,7 +24,8 @@ from statpos.errors import (
     UnknownTag,
     UnknownWord,
 )
-from statpos.tagset import END, START
+from statpos import counts
+from statpos.tagset import END, END_SERIALIZED, START, START_SERIALIZED
 
 from conftest import model_from
 from randgen import make_rng, random_model
@@ -252,22 +254,65 @@ class TestEquationExactness:
                     p_tag_given_word(m3, w, t), abs=1e-12)
 
 
+# Any non-whitespace Unicode word except the sentinel spellings, which
+# build_counts rejects; the second branch makes words that mimic a section
+# terminator.
+_word_char = st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace())
+model_word = st.one_of(
+    st.text(_word_char, min_size=1, max_size=8),
+    st.text(st.sampled_from("0123456789"), max_size=3).map(lambda d: "count=" + d),
+).filter(lambda w: w not in (START_SERIALIZED, END_SERIALIZED))
+
+
 class TestModelSerialization:
     def roundtrip(self, model):
         buf = io.StringIO()
         save_model(model, buf)
         return load_model(io.StringIO(buf.getvalue()))
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_round_trip_random(self, seed):
-        model, _ = random_model(make_rng(2000 + seed))
-        loaded = self.roundtrip(model)
+    def assert_same(self, loaded, model):
         assert loaded.word_tag_count == model.word_tag_count
         assert loaded.tag_count == model.tag_count
         assert loaded.tag_bigram_count == model.tag_bigram_count
         assert loaded.tag_trigram_count == model.tag_trigram_count
         assert loaded.total_tokens == model.total_tokens
         assert list(loaded.tagset) == list(model.tagset)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_round_trip_random(self, seed):
+        model, _ = random_model(make_rng(2000 + seed))
+        self.assert_same(self.roundtrip(model), model)
+
+    @given(st.lists(st.lists(st.tuples(model_word, st.sampled_from(["JJ", "NN", "VM"])),
+                             min_size=1, max_size=5),
+                    min_size=1, max_size=4))
+    @example([[("a", "NN"), ("count=1", "NN"), ("b", "VM")]])
+    def test_round_trip_any_words(self, corpus):
+        model = build_counts(corpus, Tagset(["JJ", "NN", "VM"]))
+        self.assert_same(self.roundtrip(model), model)
+
+    def test_save_to_path_writes_stream_bytes(self, tmp_path):
+        model, _ = random_model(make_rng(7))
+        buf = io.StringIO()
+        save_model(model, buf)
+        path = tmp_path / "m.txt"
+        path.write_text("old", encoding="utf-8")
+        save_model(model, path)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        def half_written(model, fh):
+            fh.write(counts.MODEL_HEADER + "\n")
+            raise OSError("disk full")
+
+        path = tmp_path / "m.txt"
+        path.write_text("previous", encoding="utf-8")
+        monkeypatch.setattr(counts, "_write_model", half_written)
+        with pytest.raises(OSError):
+            save_model(model_from(["a/NN"], Tagset(["NN"])), path)
+        assert path.read_text(encoding="utf-8") == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
 
     def test_round_trip_slash_words(self, small_tagset):
         model = model_from(["a/b/NN c//VM"], small_tagset)

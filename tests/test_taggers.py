@@ -1,6 +1,6 @@
 import math
+from collections import Counter
 
-import numpy as np
 import pytest
 
 from statpos import (
@@ -16,7 +16,7 @@ from statpos import (
     tag_trigram,
     tag_unigram,
 )
-from statpos import kernels
+from statpos import taggers
 from statpos.errors import EmptySentence, InstanceTooLarge, LengthMismatch, UnknownTag
 
 from conftest import model_from
@@ -206,38 +206,6 @@ class TestOracleEquivalence:
             assert s_got == pytest.approx(s_exp, abs=1e-9)
 
 
-class TestKernelParity:
-    """The numba build and the pure-numpy fallback agree exactly."""
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-    def test_bigram_kernel(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            n, T = rng.integers(1, 7), int(rng.integers(2, 6))
-            emit = np.log(rng.random((n, T)))
-            start = np.log(rng.random(T))
-            trans = np.log(rng.random((T, T)))
-            end = np.log(rng.random(T))
-            p1, s1 = kernels._viterbi_bigram_py(emit, start, trans, end)
-            p2, s2 = kernels._viterbi_bigram_jit(emit, start, trans, end)
-            assert list(p1) == list(p2)
-            assert s1 == pytest.approx(s2, abs=1e-12)
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-    def test_trigram_kernel(self):
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            n, T = rng.integers(1, 6), int(rng.integers(2, 5))
-            emit = np.log(rng.random((n, T)))
-            start2 = np.log(rng.random(T))
-            tri = np.log(rng.random((T + 1, T, T)))
-            tri_end = np.log(rng.random((T + 1, T)))
-            p1, s1 = kernels._viterbi_trigram_py(emit, start2, tri, tri_end)
-            p2, s2 = kernels._viterbi_trigram_jit(emit, start2, tri, tri_end)
-            assert list(p1) == list(p2)
-            assert s1 == pytest.approx(s2, abs=1e-12)
-
-
 class TestDecodeTrace:
     @pytest.mark.parametrize("method", ("unigram",) + DP_METHODS)
     def test_trace_max_equals_path_score(self, method, small_tagset):
@@ -249,3 +217,46 @@ class TestDecodeTrace:
             abs=1e-9)
         for pos in trace.positions:
             assert max(pos.values()) == pytest.approx(trace.path_score, abs=1e-9)
+
+
+class TestTraceDecodeParity:
+    """decode_with_trace runs the decoder's own dynamic program, so its tags,
+    margins and path score agree with decoding and scoring at any length."""
+
+    LENGTHS = (1, 2, 3, 8, 40, 200, 257)
+
+    @pytest.mark.parametrize("method", DP_METHODS)
+    def test_agrees_with_decoding(self, method):
+        rng = make_rng(300)
+        c = cfg(method)
+        for _ in range(4):
+            model, _ = random_model(rng)
+            for n in self.LENGTHS:
+                words = [random_sentence(rng, max_len=1)[0] for _ in range(n)]
+                tagged, trace = decode_with_trace(words, model, c)
+                assert tagged == tag_sentence(words, model, c)
+                score = pytest.approx(trace.path_score, rel=1e-9, abs=0)
+                assert score_sequence(words, [t for _, t in tagged], model, c) == score
+                for (_, tag), pos in zip(tagged, trace.positions):
+                    assert pos[tag] == score
+                    assert max(pos.values()) == score
+
+    @pytest.mark.parametrize("method,table", [("bigram", "transition_tables"),
+                                              ("hmm", "transition_tables"),
+                                              ("trigram", "trigram_tables")])
+    def test_builds_each_table_once(self, method, table, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(taggers, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in (table, "emission_table"):
+            monkeypatch.setattr(taggers, name, counting(name))
+        model, _ = random_model(make_rng(5))
+        decode_with_trace(["a", "b", "c"], model, cfg(method))
+        assert calls == {table: 1, "emission_table": 1}
