@@ -30,11 +30,7 @@ from .taggers import (
     brute_force_decode,
     decode_with_trace,
     score_sequence,
-    tag_bigram,
-    tag_hmm,
     tag_sentence,
-    tag_trigram,
-    tag_unigram,
 )
 from .tagset import END, START, Tagset, default_tagset
 
@@ -66,10 +62,6 @@ __all__ = [
     "save_model",
     "score_sequence",
     "serialize_tagged_sentence",
-    "tag_bigram",
-    "tag_hmm",
     "tag_sentence",
-    "tag_trigram",
-    "tag_unigram",
     "tokenize_raw_line",
 ]

@@ -102,19 +102,22 @@ def cmd_tag(args):
     with contextlib.ExitStack() as stack:
         instream = stack.enter_context(_open(args.input, "r")) if args.input else sys.stdin
         outstream = stack.enter_context(_open(args.output, "w")) if args.output else sys.stdout
-        for raw in instream:
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                outstream.write("\n")
-                continue
-            try:
-                words = corpus_io.tokenize_raw_line(line)
-            except EmptyLine as e:
-                print(f"warning: {e}", file=sys.stderr)
-                outstream.write("\n")
-                continue
-            tagged = taggers.tag_sentence(words, model, config)
-            outstream.write(corpus_io.serialize_tagged_sentence(tagged) + "\n")
+        try:
+            for raw in instream:
+                line = raw.rstrip("\r\n")
+                if not line.strip():
+                    outstream.write("\n")
+                    continue
+                try:
+                    words = corpus_io.tokenize_raw_line(line)
+                except EmptyLine as e:
+                    print(f"warning: {e}", file=sys.stderr)
+                    outstream.write("\n")
+                    continue
+                tagged = taggers.tag_sentence(words, model, config)
+                outstream.write(corpus_io.serialize_tagged_sentence(tagged) + "\n")
+        except UnicodeDecodeError as e:
+            raise IoFailure(f"{args.input or '<stdin>'}: not UTF-8 text ({e.reason})") from e
     return 0
 
 
@@ -147,52 +150,38 @@ def cmd_probe(args):
                                     unknown_policy=smoothing.unknown_policy,
                                     open_class_tags=smoothing.open_class_tags)
     q = args.query
-    try:
-        if q[0] == "emit" and len(q) == 3:
-            _, word, tag = q
-            raw = counts_mod.p_word_given_tag(model, word, tag, raw_smoothing)
-            smooth = counts_mod.p_word_given_tag(model, word, tag, smoothing)
-            print(f"raw\t{_fmt_prob(raw)}")
-            print(f"smoothed\t{_fmt_prob(smooth)}")
-        elif q[0] == "trans" and len(q) == 3:
-            _, prev, tag = q
-            raw = counts_mod.p_bigram_transition(model, prev, tag, raw_smoothing)
-            smooth = counts_mod.p_bigram_transition(model, prev, tag, smoothing)
-            print(f"raw\t{_fmt_prob(raw)}")
-            print(f"smoothed\t{_fmt_prob(smooth)}")
-        elif q[0] == "tri" and len(q) == 4:
-            _, t2, t1, tag = q
-            raw = counts_mod.p_trigram_transition(model, t2, t1, tag, raw_smoothing)
-            smooth = counts_mod.p_trigram_transition(model, t2, t1, tag, smoothing)
-            print(f"raw\t{_fmt_prob(raw)}")
-            print(f"smoothed\t{_fmt_prob(smooth)}")
-        elif q[0] == "lex" and len(q) == 2:
-            word = q[1]
-            entries = model.tags_for_word.get(word)
-            if entries is None:
-                print(f"error: unknown word {word!r}", file=sys.stderr)
-                return 1
-            dist = [(counts_mod.p_tag_given_word(model, word, t), t) for t in entries]
-            dist.sort(key=lambda pt: (-pt[0], pt[1]))
-            print(" / ".join(f"{t} {_fmt_prob(p)}" for p, t in dist))
-        elif q[0] == "decode" and len(q) >= 3:
-            method = q[1]
-            if method not in taggers.METHODS:
-                print(f"error: unknown method {method!r}", file=sys.stderr)
-                return 1
-            words = q[2:]
-            config = taggers.TaggerConfig(method=method, smoothing=smoothing)
-            tagged, trace = taggers.decode_with_trace(words, model, config)
-            print(corpus_io.serialize_tagged_sentence(tagged))
-            print(f"path_score\t{trace.path_score:.6f}")
-            for i, scores in enumerate(trace.positions):
-                row = "\t".join(f"{t}={s:.4f}" for t, s in sorted(scores.items()))
-                print(f"{i}\t{words[i]}\t{row}")
-        else:
-            print(f"error: unknown query form {' '.join(q)!r}", file=sys.stderr)
+    # query form -> (probability function, query length)
+    probes = {"emit": (counts_mod.p_word_given_tag, 3),
+              "trans": (counts_mod.p_bigram_transition, 3),
+              "tri": (counts_mod.p_trigram_transition, 4)}
+    if q[0] in probes and len(q) == probes[q[0]][1]:
+        prob = probes[q[0]][0]
+        print(f"raw\t{_fmt_prob(prob(model, *q[1:], raw_smoothing))}")
+        print(f"smoothed\t{_fmt_prob(prob(model, *q[1:], smoothing))}")
+    elif q[0] == "lex" and len(q) == 2:
+        word = q[1]
+        entries = model.tags_for_word.get(word)
+        if entries is None:
+            print(f"error: unknown word {word!r}", file=sys.stderr)
             return 1
-    except StatposError as e:
-        print(f"error: {e}", file=sys.stderr)
+        dist = [(counts_mod.p_tag_given_word(model, word, t), t) for t in entries]
+        dist.sort(key=lambda pt: (-pt[0], pt[1]))
+        print(" / ".join(f"{t} {_fmt_prob(p)}" for p, t in dist))
+    elif q[0] == "decode" and len(q) >= 3:
+        method = q[1]
+        if method not in taggers.METHODS:
+            print(f"error: unknown method {method!r}", file=sys.stderr)
+            return 1
+        words = q[2:]
+        config = taggers.TaggerConfig(method=method, smoothing=smoothing)
+        tagged, trace = taggers.decode_with_trace(words, model, config)
+        print(corpus_io.serialize_tagged_sentence(tagged))
+        print(f"path_score\t{trace.path_score:.6f}")
+        for i, scores in enumerate(trace.positions):
+            row = "\t".join(f"{t}={s:.4f}" for t, s in sorted(scores.items()))
+            print(f"{i}\t{words[i]}\t{row}")
+    else:
+        print(f"error: unknown query form {' '.join(q)!r}", file=sys.stderr)
         return 1
     return 0
 

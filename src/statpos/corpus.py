@@ -63,6 +63,7 @@ def load_corpus(source, tagset, strict=True):
 def _load_stream(fh, tagset, strict):
     sentences = []
     skipped = 0
+    lineno = 0
     try:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
@@ -74,6 +75,10 @@ def _load_stream(fh, tagset, strict):
                 if strict:
                     raise CorpusLineError(lineno, e) from e
                 skipped += 1
+    except UnicodeDecodeError as e:
+        # raised while decoding the chunk that follows the last line read
+        bad = lineno + 1 + e.object.count(b"\n", 0, e.start)
+        raise CorpusLineError(bad, f"not UTF-8 text ({e.reason})") from e
     except OSError as e:
         raise IoFailure(str(e)) from e
     return sentences, skipped

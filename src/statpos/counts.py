@@ -1,7 +1,7 @@
 """Frequency tables and the probability queries built on them.
 
 All counts are exact integers gathered in one pass over the corpus;
-probabilities are computed on demand, never stored.  Sentence boundaries are
+probabilities are computed on demand by the p_* functions.  Sentence boundaries are
 padded with START/END sentinels (double START for trigram contexts) so every
 transition query is well-defined at the edges.
 """
@@ -59,6 +59,7 @@ class SmoothingConfig:
             raise ValueError(f"interpolation weights must sum to 1, got {total}")
         if min(self.lambda3, self.lambda2, self.lambda1) < 0:
             raise ValueError("interpolation weights must be nonnegative")
+        object.__setattr__(self, "open_class_tags", frozenset(self.open_class_tags))
 
 
 class CountsModel:
@@ -77,10 +78,12 @@ class CountsModel:
             self.word_count[word] += n
         self.word_count = dict(self.word_count)
         self.vocabulary = set(self.word_count)
-        # Lexical table per word, used by the unigram tagger and probe output.
+        # Lexical table per word, used by the probe output.
         self.tags_for_word = {}
         for (word, tag), n in self.word_tag_count.items():
             self.tags_for_word.setdefault(word, {})[tag] = n
+        # SmoothingConfig -> the taggers' tables, derived from these counts
+        self._tables = {}
 
     @property
     def num_sentences(self):
@@ -254,7 +257,10 @@ def load_model(source):
         except OSError as e:
             raise IoFailure(str(e)) from e
         with fh:
-            return _read_model(fh)
+            try:
+                return _read_model(fh)
+            except UnicodeDecodeError as e:
+                raise IoFailure(f"{os.fsdecode(source)}: not UTF-8 text ({e.reason})") from e
     return _read_model(source)
 
 

@@ -26,11 +26,7 @@ TIE_TOL = 1e-10
 
 
 def _first_argmax(values):
-    best = np.max(values)
-    for j in range(values.shape[0]):
-        if values[j] >= best - TIE_TOL:
-            return j
-    return 0
+    return int(np.argmax(values >= np.max(values) - TIE_TOL))
 
 
 def _pinned(margins):

@@ -1,10 +1,15 @@
 """The four decoding methods and their shared scoring machinery.
 
-Every decoder maximizes an explicit per-method sequence objective in natural
-log space.  The bigram, trigram and HMM decoders are exact Viterbi dynamic
-programs running on the kernels module; brute_force_decode enumerates every
-tag sequence and serves as the independent oracle in the test suite.  Ties
-are always broken in favor of the lexicographically smallest tag tuple.
+Each method maximizes an explicit sequence objective in natural log space.
+The scalar p_* functions of the counts module are the reference for the
+paper's equations.  The log-probability tables that decoding reads are filled
+from them once per (model, smoothing) and kept with the model, each part on
+first use.  tag_sentence and decode_with_trace share one path: gather the
+sentence's rows, then take the first maximum of each row (unigram) or run
+the order's Viterbi kernel (bigram, hmm, trigram).  score_sequence and
+brute_force_decode recompute the objective from the p_* functions and serve
+as the independent oracle in the test suite.  Ties are always broken in
+favor of the lexicographically smallest tag tuple.
 """
 
 import itertools
@@ -107,10 +112,7 @@ def trigram_tables(model, smoothing):
     tri_end = np.empty((T + 1, T))
     for j, b in enumerate(labels):
         start2[j] = _log(p_trigram_transition(model, START, START, b, smoothing))
-        tri_end[T, j] = _log(p_trigram_transition(model, START, b, END, smoothing))
-        for k, c in enumerate(labels):
-            tri[T, j, k] = _log(p_trigram_transition(model, START, b, c, smoothing))
-    for i, a in enumerate(labels):
+    for i, a in enumerate(labels + [START]):
         for j, b in enumerate(labels):
             tri_end[i, j] = _log(p_trigram_transition(model, a, b, END, smoothing))
             for k, c in enumerate(labels):
@@ -118,82 +120,95 @@ def trigram_tables(model, smoothing):
     return labels, start2, tri, tri_end
 
 
-def emission_table(model, smoothing, words, labels):
-    emit = np.empty((len(words), len(labels)))
-    for i, w in enumerate(words):
-        for j, t in enumerate(labels):
-            emit[i, j] = _log(p_word_given_tag(model, w, t, smoothing))
-    return emit
+# --- the tables of one (model, smoothing) and the one decoding path ---------
+
+class _Tables:
+    """The tables of one (model, smoothing), each part built on first use by
+    the reference functions above: the transition tables of one order, and
+    per word one P(tag | word) row and one log-emission row, with one of each
+    shared by every unknown word.  The model holds these in `_tables`; they
+    hold no reference back to it, so they are freed with the model."""
+
+    def __init__(self, model, smoothing):
+        self.smoothing = smoothing
+        self.labels = model.tagset.sorted_labels()
+        self.lexical = {}   # word, or None for unknown words -> P(tag | word) list
+        self.emit = {}      # word, or None for unknown words -> log P(word | tag) row
+        self.first = self.second = None
+
+    def rows(self, model, sentence, lexical):
+        """The sentence's P(tag | word) rows (lexical) or log-emission rows."""
+        rows = []
+        cache = self.lexical if lexical else self.emit
+        for word in sentence:
+            key = word if word in model.vocabulary else None
+            row = cache.get(key)
+            if row is None:
+                if lexical:
+                    row = [_unigram_lexical_prob(model, self.smoothing, word, t)
+                           for t in self.labels]
+                else:
+                    row = np.array([_log(p_word_given_tag(model, word, t, self.smoothing))
+                                    for t in self.labels])
+                cache[key] = row
+            rows.append(row)
+        return rows
+
+    def transitions(self, model, method):
+        """(start, trans, end), with doubled interior transitions for hmm, or
+        (start2, tri, tri_end) for trigram."""
+        if method == "trigram":
+            if self.second is None:
+                self.second = trigram_tables(model, self.smoothing)[1:]
+            return self.second
+        if self.first is None:
+            self.first = transition_tables(model, self.smoothing)[1:]
+        start, trans, end = self.first
+        return (start, 2.0 * trans, end) if method == "hmm" else self.first
 
 
-# --- decoders ----------------------------------------------------------------
-
-def tag_unigram(sentence, model, config):
-    """Most-likely tag per word, context-free; unknown words go to the
-    unknown-word policy's tag."""
+def _decode(sentence, model, config, traced):
+    """The tagged sentence and, when traced, its DecodeTrace."""
     if not sentence:
         raise EmptySentence()
-    smoothing = config.smoothing
-    out = []
-    for word in sentence:
-        best_tag = None
-        best_p = NEG_INF
-        for t in model.tagset.sorted_labels():
-            p = _unigram_lexical_prob(model, smoothing, word, t)
-            if p > best_p:
-                best_p = p
-                best_tag = t
-        out.append((word, best_tag))
-    return out
-
-
-def _dp_tables(sentence, model, smoothing, method):
-    """Labels and the kernel argument tables of a DP method: first-order
-    (emit, start, trans, end), with doubled interior transitions for hmm, or
-    second-order (emit, start2, tri, tri_end) for trigram."""
-    if method == "trigram":
-        labels, start2, tri, tri_end = trigram_tables(model, smoothing)
-        emit = emission_table(model, smoothing, sentence, labels)
-        return labels, (emit, start2, tri, tri_end)
-    labels, start, trans, end = transition_tables(model, smoothing)
-    emit = emission_table(model, smoothing, sentence, labels)
-    interior = 2.0 * trans if method == "hmm" else trans
-    return labels, (emit, start, interior, end)
-
-
-def _tag_dp(sentence, model, smoothing, method):
-    if not sentence:
-        raise EmptySentence()
-    labels, tables = _dp_tables(sentence, model, smoothing, method)
-    kernel = kernels.viterbi_trigram if method == "trigram" else kernels.viterbi_bigram
-    path, _ = kernel(*tables)
-    return [(w, labels[j]) for w, j in zip(sentence, path)]
-
-
-def tag_bigram(sentence, model, config):
-    return _tag_dp(sentence, model, config.smoothing, "bigram")
-
-
-def tag_hmm(sentence, model, config):
-    """Bidirectional-context objective: each position scores its transition
-    from the previous tag and to the next tag, so interior transitions carry
-    doubled weight in the equivalent first-order dynamic program."""
-    return _tag_dp(sentence, model, config.smoothing, "hmm")
-
-
-def tag_trigram(sentence, model, config):
-    return _tag_dp(sentence, model, config.smoothing, "trigram")
+    tables = model._tables.get(config.smoothing)
+    if tables is None:
+        tables = model._tables[config.smoothing] = _Tables(model, config.smoothing)
+    if config.method == "unigram":
+        rows = tables.rows(model, sentence, lexical=True)
+        # the first maximum of the probability, not of its log: math.log can
+        # map two distinct tiny probabilities to one double
+        path = [row.index(max(row)) for row in rows]
+        if traced:
+            # positions are independent: pin tag t at i, the optimum elsewhere
+            logs = np.array([[_log(p) for p in row] for row in rows])
+            best = logs.max(axis=1)
+            score = sum(best.tolist())
+            margins = logs + (score - best)[:, None]
+    else:
+        order = "trigram" if config.method == "trigram" else "bigram"
+        args = (np.array(tables.rows(model, sentence, lexical=False)),
+                *tables.transitions(model, config.method))
+        if traced:
+            path, score, margins = getattr(kernels, f"max_marginals_{order}")(*args)
+        else:
+            path, _ = getattr(kernels, f"viterbi_{order}")(*args)
+    tagged = [(w, tables.labels[j]) for w, j in zip(sentence, path)]
+    if not traced:
+        return tagged, None
+    positions = [dict(zip(tables.labels, row)) for row in margins.tolist()]
+    return tagged, DecodeTrace(positions, float(score))
 
 
 def tag_sentence(sentence, model, config):
-    """Dispatch on config.method."""
-    fn = {
-        "unigram": tag_unigram,
-        "bigram": tag_bigram,
-        "trigram": tag_trigram,
-        "hmm": tag_hmm,
-    }[config.method]
-    return fn(sentence, model, config)
+    """Tag a list of words with config.method; returns (word, tag) pairs."""
+    return _decode(sentence, model, config, traced=False)[0]
+
+
+def decode_with_trace(sentence, model, config):
+    """Decode and report, per position, the best total score achievable with
+    that position pinned to each candidate tag (a DecodeTrace)."""
+    return _decode(sentence, model, config, traced=True)
 
 
 # --- scoring and the enumeration oracle --------------------------------------
@@ -258,36 +273,3 @@ def brute_force_decode(sentence, model, config):
             # earlier sequence but track the larger score
             best_score = s
     return [(w, t) for w, t in zip(sentence, best_tags)]
-
-
-# --- max-marginal traces for the probe CLI -----------------------------------
-
-def decode_with_trace(sentence, model, config):
-    """Decode and report, per position, the best total score achievable with
-    that position pinned to each candidate tag."""
-    if not sentence:
-        raise EmptySentence()
-    smoothing = config.smoothing
-
-    if config.method == "unigram":
-        tagged = tag_unigram(sentence, model, config)
-        positions = []
-        total = 0.0
-        for word in sentence:
-            scores = {t: _log(_unigram_lexical_prob(model, smoothing, word, t))
-                      for t in model.tagset.sorted_labels()}
-            total += max(scores.values())
-            positions.append(scores)
-        # each position is independent: pin tag t at i, optimum elsewhere
-        traced = [{t: total - max(pos.values()) + pos[t] for t in pos}
-                  for pos in positions]
-        return tagged, DecodeTrace(traced, score_sequence(sentence, [t for _, t in tagged], model, config))
-
-    labels, tables = _dp_tables(sentence, model, smoothing, config.method)
-    max_marginals = (kernels.max_marginals_trigram if config.method == "trigram"
-                     else kernels.max_marginals_bigram)
-    path, path_score, margins = max_marginals(*tables)
-    tagged = [(w, labels[j]) for w, j in zip(sentence, path)]
-    positions = [{t: float(margins[i, j]) for j, t in enumerate(labels)}
-                 for i in range(len(sentence))]
-    return tagged, DecodeTrace(positions, float(path_score))

@@ -84,6 +84,8 @@ class Tagset:
                     labels.append(line)
         except OSError as e:
             raise IoFailure(str(e)) from e
+        except UnicodeDecodeError as e:
+            raise IoFailure(f"{path}: not UTF-8 text ({e.reason})") from e
         return cls(labels)
 
 

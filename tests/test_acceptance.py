@@ -39,7 +39,6 @@ from statpos import (
     score_sequence,
     serialize_tagged_sentence,
     tag_sentence,
-    tag_unigram,
 )
 from statpos.evaluation import accuracy_percent
 from statpos.tagset import END, START
@@ -162,7 +161,7 @@ def test_criterion_5_context_sensitivity():
         pred = [tag_sentence(words, model, TaggerConfig(method=method))]
         assert evaluate(held_out, pred).accuracy_percent == 100.0
 
-    uni = [tag_unigram(words, model, TaggerConfig(method="unigram"))]
+    uni = [tag_sentence(words, model, TaggerConfig(method="unigram"))]
     assert evaluate(held_out, uni).accuracy_percent < 100.0
 
 

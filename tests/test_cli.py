@@ -261,6 +261,55 @@ class TestProbe:
         assert code == 1
 
 
+class TestNonUtf8Input:
+    """A Latin-1 file given to any command ends in one error line, exit 1."""
+
+    LATIN1 = "café".encode("latin-1")
+
+    def assert_one_error_line(self, capsys, argv, *expected):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for text in expected:
+            assert text in err
+
+    def test_train_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"a/NN b/VM\n" + self.LATIN1 + b"/NN\n")
+        self.assert_one_error_line(capsys, ["train", "--corpus", str(corpus),
+                                            "--model", str(tmp_path / "m.txt")], "line 2")
+
+    def test_train_tagset(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a/NN\n", encoding="utf-8")
+        tagfile = tmp_path / "tags.txt"
+        tagfile.write_bytes(b"NN\n" + self.LATIN1 + b"\n")
+        self.assert_one_error_line(capsys, ["train", "--corpus", str(corpus),
+                                            "--model", str(tmp_path / "m.txt"),
+                                            "--tagset", str(tagfile)], "tags.txt")
+
+    def test_tag_input(self, model_path, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_bytes(self.LATIN1 + b" a\n")
+        self.assert_one_error_line(capsys, ["tag", "--model", str(model_path),
+                                            "--method", "hmm", "--input", str(src)], "in.txt")
+
+    def test_tag_model(self, model_path, tmp_path, capsys):
+        model = tmp_path / "latin1-model.txt"
+        model.write_bytes(model_path.read_bytes().replace(b"\na\t", b"\n" + self.LATIN1 + b"\t"))
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        self.assert_one_error_line(capsys, ["tag", "--model", str(model), "--method", "hmm",
+                                            "--input", str(src)], "latin1-model.txt")
+
+    def test_eval_gold(self, model_path, tmp_path, capsys):
+        gold = tmp_path / "gold.txt"
+        gold.write_bytes(b"a/NN b/VM\nc/JJ " + self.LATIN1 + b"/QC\n")
+        self.assert_one_error_line(capsys, ["eval", "--model", str(model_path), "--method", "hmm",
+                                            "--gold", str(gold)], "line 2")
+
+
 class TestSaveLoadParity:
     def test_train_save_load_tag_matches_in_memory(self, tmp_path):
         import statpos

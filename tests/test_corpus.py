@@ -100,6 +100,18 @@ class TestLoadCorpus:
         with pytest.raises(IoFailure):
             load_corpus(tmp_path / "nope.txt", tagset)
 
+    @pytest.mark.parametrize("bad", [1, 2, 700, 2999])
+    def test_non_utf8_line_number(self, tagset, tmp_path, bad):
+        # 3,000 lines span several of the text layer's decoding chunks
+        lines = [f"w{i}/NN x/VM".encode() for i in range(1, 3001)]
+        lines[bad - 1] = "café/NN".encode("latin-1")
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        for strict in (True, False):
+            with pytest.raises(CorpusLineError) as exc:
+                load_corpus(path, tagset, strict=strict)
+            assert exc.value.lineno == bad
+
 
 class TestTokenizeRawLine:
     def test_devanagari(self):

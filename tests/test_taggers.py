@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -8,13 +10,10 @@ from statpos import (
     TaggerConfig,
     Tagset,
     brute_force_decode,
+    build_counts,
     decode_with_trace,
     score_sequence,
-    tag_bigram,
-    tag_hmm,
     tag_sentence,
-    tag_trigram,
-    tag_unigram,
 )
 from statpos import taggers
 from statpos.errors import EmptySentence, InstanceTooLarge, LengthMismatch, UnknownTag
@@ -33,62 +32,62 @@ def cfg(method, smoothing=None):
 class TestUnigram:
     def test_majority_tag_wins(self, small_tagset):
         m = model_from(["x/NN y/VM", "x/NN z/VM", "x/JJ w/VM"], small_tagset)
-        assert tag_unigram(["x"], m, cfg("unigram")) == [("x", "NN")]
+        assert tag_sentence(["x"], m, cfg("unigram")) == [("x", "NN")]
 
     def test_unique_tag(self, small_tagset):
         m = model_from(["x/NN q/QC"], small_tagset)
-        assert tag_unigram(["q"], m, cfg("unigram")) == [("q", "QC")]
+        assert tag_sentence(["q"], m, cfg("unigram")) == [("q", "QC")]
 
     def test_tie_breaks_lexicographically(self, small_tagset):
         m = model_from(["x/NN y/VM", "x/VM y/NN"], small_tagset)
-        assert tag_unigram(["x"], m, cfg("unigram")) == [("x", "NN")]
+        assert tag_sentence(["x"], m, cfg("unigram")) == [("x", "NN")]
 
     def test_unknown_word_open_class_policy(self, small_tagset):
         m = model_from(["x/NN y/NN z/VM"], small_tagset)
-        assert tag_unigram(["oov"], m, cfg("unigram")) == [("oov", "NN")]
+        assert tag_sentence(["oov"], m, cfg("unigram")) == [("oov", "NN")]
 
     def test_unknown_word_single_tag_policy(self, small_tagset):
         m = model_from(["x/NN y/NN"], small_tagset)
         c = cfg("unigram", SmoothingConfig(unknown_policy="QC"))
-        assert tag_unigram(["oov"], m, c) == [("oov", "QC")]
+        assert tag_sentence(["oov"], m, c) == [("oov", "QC")]
 
     def test_permutation_equivariance(self, small_tagset):
         m = model_from(["x/NN y/VM z/JJ", "x/NN w/QC"], small_tagset)
-        fwd = tag_unigram(["x", "y", "z"], m, cfg("unigram"))
-        rev = tag_unigram(["z", "y", "x"], m, cfg("unigram"))
+        fwd = tag_sentence(["x", "y", "z"], m, cfg("unigram"))
+        rev = tag_sentence(["z", "y", "x"], m, cfg("unigram"))
         assert dict(fwd) == dict(rev)
 
     def test_empty_sentence(self, small_tagset):
         m = model_from(["x/NN"], small_tagset)
         with pytest.raises(EmptySentence):
-            tag_unigram([], m, cfg("unigram"))
+            tag_sentence([], m, cfg("unigram"))
 
 
 class TestDecoders:
     def test_single_path_bigram(self, small_tagset):
         m = model_from(["a/NN b/VM"], small_tagset)
-        assert tag_bigram(["a", "b"], m, cfg("bigram")) == [("a", "NN"), ("b", "VM")]
+        assert tag_sentence(["a", "b"], m, cfg("bigram")) == [("a", "NN"), ("b", "VM")]
 
     def test_context_resolves_ambiguity(self, small_tagset):
         # frozen from the enumeration oracle
         m = model_from(["m/NN v/VM", "v/NN m/VM"], small_tagset)
         expected = [("m", "NN"), ("v", "VM")]
         assert brute_force_decode(["m", "v"], m, cfg("bigram")) == expected
-        assert tag_bigram(["m", "v"], m, cfg("bigram")) == expected
+        assert tag_sentence(["m", "v"], m, cfg("bigram")) == expected
 
     def test_single_path_trigram(self, small_tagset):
         m = model_from(["a/NN b/VM c/JJ"], small_tagset)
         expected = [("a", "NN"), ("b", "VM"), ("c", "JJ")]
-        assert tag_trigram(["a", "b", "c"], m, cfg("trigram")) == expected
+        assert tag_sentence(["a", "b", "c"], m, cfg("trigram")) == expected
 
     def test_one_word_trigram(self, small_tagset):
         m = model_from(["a/NN b/VM c/JJ"], small_tagset)
-        assert tag_trigram(["a"], m, cfg("trigram")) == [("a", "NN")]
+        assert tag_sentence(["a"], m, cfg("trigram")) == [("a", "NN")]
 
     def test_single_path_hmm(self, small_tagset):
         m = model_from(["a/NN b/VM c/JJ"], small_tagset)
         expected = [("a", "NN"), ("b", "VM"), ("c", "JJ")]
-        assert tag_hmm(["a", "b", "c"], m, cfg("hmm")) == expected
+        assert tag_sentence(["a", "b", "c"], m, cfg("hmm")) == expected
 
     @pytest.mark.parametrize("method", DP_METHODS)
     def test_length_one_sentences(self, method, small_tagset):
@@ -134,7 +133,7 @@ class TestContextSensitivityFixture:
 
     def test_unigram_necessarily_errs(self, small_tagset):
         model, words, gold = self.held_out(small_tagset)
-        tagged = tag_unigram(words, model, cfg("unigram"))
+        tagged = tag_sentence(words, model, cfg("unigram"))
         predicted = [t for _, t in tagged]
         assert predicted != gold
         assert sum(p == g for p, g in zip(predicted, gold)) == 1
@@ -225,7 +224,7 @@ class TestTraceDecodeParity:
 
     LENGTHS = (1, 2, 3, 8, 40, 200, 257)
 
-    @pytest.mark.parametrize("method", DP_METHODS)
+    @pytest.mark.parametrize("method", ("unigram",) + DP_METHODS)
     def test_agrees_with_decoding(self, method):
         rng = make_rng(300)
         c = cfg(method)
@@ -241,10 +240,17 @@ class TestTraceDecodeParity:
                     assert pos[tag] == score
                     assert max(pos.values()) == score
 
-    @pytest.mark.parametrize("method,table", [("bigram", "transition_tables"),
+
+
+class TestTables:
+    """The tables belong to (model, smoothing): built once, kept apart per
+    smoothing, and freed with the model."""
+
+    @pytest.mark.parametrize("method,table", [("unigram", None),
+                                              ("bigram", "transition_tables"),
                                               ("hmm", "transition_tables"),
                                               ("trigram", "trigram_tables")])
-    def test_builds_each_table_once(self, method, table, monkeypatch):
+    def test_builds_transition_tables_once(self, method, table, monkeypatch):
         calls = Counter()
 
         def counting(name):
@@ -255,8 +261,46 @@ class TestTraceDecodeParity:
                 return fn(*args)
             return wrapper
 
-        for name in (table, "emission_table"):
+        for name in ("transition_tables", "trigram_tables"):
             monkeypatch.setattr(taggers, name, counting(name))
         model, _ = random_model(make_rng(5))
-        decode_with_trace(["a", "b", "c"], model, cfg(method))
-        assert calls == {table: 1, "emission_table": 1}
+        tag_sentence(["a", "b", "c"], model, cfg(method))
+        tag_sentence(["c", "oov1"], model, cfg(method))
+        decode_with_trace(["a", "oov2", "b"], model, cfg(method))
+        assert calls == ({table: 1} if table else {})
+
+    @pytest.mark.parametrize("method", ("unigram",) + DP_METHODS)
+    def test_alternating_smoothing_matches_fresh_models(self, method):
+        rng = make_rng(77)
+        for _ in range(10):
+            model, corpus = random_model(rng)
+            forced = SmoothingConfig(unknown_policy=model.tagset.sorted_labels()[-1])
+            for _ in range(3):
+                for smoothing in (SmoothingConfig(), RAW, forced):
+                    words = random_sentence(rng, max_len=8, unknown_rate=0.3)
+                    c = cfg(method, smoothing)
+                    fresh = build_counts(corpus, model.tagset)
+                    assert tag_sentence(words, model, c) == tag_sentence(words, fresh, c)
+
+    def test_open_class_tags_given_as_a_set(self, small_tagset):
+        # the tables are keyed by SmoothingConfig, so it must hash
+        m = model_from(["x/NN y/VM", "x/JJ z/QC"], small_tagset)
+        as_set = SmoothingConfig(open_class_tags={"QC", "VM"})
+        frozen = SmoothingConfig(open_class_tags=frozenset({"QC", "VM"}))
+        for method in ("unigram",) + DP_METHODS:
+            words = ["x", "oov", "z"]
+            assert (tag_sentence(words, m, cfg(method, as_set))
+                    == tag_sentence(words, m, cfg(method, frozen)))
+
+    @pytest.mark.parametrize("method", ("unigram",) + DP_METHODS)
+    def test_freed_with_model(self, method):
+        model, _ = random_model(make_rng(9))
+        tag_sentence(["a", "oov0", "b"], model, cfg(method))
+        decode_with_trace(["a", "b"], model, cfg(method))
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
