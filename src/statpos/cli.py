@@ -8,7 +8,7 @@ from . import corpus as corpus_io
 from . import counts as counts_mod
 from . import evaluation, taggers
 from .counts import SmoothingConfig, UNIFORM_OPEN_CLASS
-from .errors import EmptyLine, IoFailure, StatposError
+from .errors import EmptyLine, StatposError, UnknownTag, UnknownWord, text_file
 from .tagset import Tagset, default_tagset
 
 
@@ -21,12 +21,14 @@ def _smoothing_args(parser):
                         help="'open-class' or a tag label to force on unknown words")
 
 
-def _smoothing_from(args):
+def _smoothing_from(args, tagset):
     try:
         l3, l2, l1 = (float(x) for x in args.lambdas.split(","))
     except ValueError:
         raise StatposError(f"bad --lambdas value {args.lambdas!r}")
     policy = UNIFORM_OPEN_CLASS if args.unknown_policy == "open-class" else args.unknown_policy
+    if policy != UNIFORM_OPEN_CLASS and policy not in tagset:
+        raise UnknownTag(policy)
     return SmoothingConfig(alpha=args.alpha, lambda3=l3, lambda2=l2, lambda1=l1,
                            unknown_policy=policy)
 
@@ -76,11 +78,7 @@ def cmd_train(args):
         print("error: empty corpus", file=sys.stderr)
         return 2
     model = counts_mod.build_counts(sentences, tagset)
-    try:
-        counts_mod.save_model(model, args.model)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    counts_mod.save_model(model, args.model)
     print(f"sentences: {len(sentences)}")
     print(f"tokens: {model.total_tokens}")
     print(f"vocabulary: {len(model.vocabulary)}")
@@ -89,50 +87,43 @@ def cmd_train(args):
     return 0
 
 
-def _open(path, mode):
-    try:
-        return open(path, mode, encoding="utf-8")
-    except OSError as e:
-        raise IoFailure(str(e)) from e
-
-
 def cmd_tag(args):
     model = counts_mod.load_model(args.model)
-    config = taggers.TaggerConfig(method=args.method, smoothing=_smoothing_from(args))
+    config = taggers.TaggerConfig(method=args.method,
+                                  smoothing=_smoothing_from(args, model.tagset))
     with contextlib.ExitStack() as stack:
-        instream = stack.enter_context(_open(args.input, "r")) if args.input else sys.stdin
-        outstream = stack.enter_context(_open(args.output, "w")) if args.output else sys.stdout
-        try:
-            for raw in instream:
-                line = raw.rstrip("\r\n")
-                if not line.strip():
-                    outstream.write("\n")
-                    continue
-                try:
-                    words = corpus_io.tokenize_raw_line(line)
-                except EmptyLine as e:
-                    print(f"warning: {e}", file=sys.stderr)
-                    outstream.write("\n")
-                    continue
-                tagged = taggers.tag_sentence(words, model, config)
-                outstream.write(corpus_io.serialize_tagged_sentence(tagged) + "\n")
-        except UnicodeDecodeError as e:
-            raise IoFailure(f"{args.input or '<stdin>'}: not UTF-8 text ({e.reason})") from e
+        instream = stack.enter_context(text_file(args.input or sys.stdin))
+        outstream = stack.enter_context(text_file(args.output or sys.stdout, "w"))
+        for raw in instream:
+            line = raw.rstrip("\r\n")
+            if not line.strip():
+                outstream.write("\n")
+                continue
+            try:
+                words = corpus_io.tokenize_raw_line(line)
+            except EmptyLine as e:
+                print(f"warning: {e}", file=sys.stderr)
+                outstream.write("\n")
+                continue
+            tagged = taggers.tag_sentence(words, model, config)
+            outstream.write(corpus_io.serialize_tagged_sentence(tagged) + "\n")
     return 0
 
 
 def cmd_eval(args):
     if args.counts:
         correct, total = args.counts
+        if not (0 <= correct <= total and total > 0):
+            raise StatposError(f"--counts needs 0 <= CORRECT <= TOTAL and TOTAL > 0, "
+                               f"got {correct} {total}")
         print(f"accuracy: {evaluation.round_percent(evaluation.accuracy_percent(correct, total))}")
         return 0
     if not (args.model and args.method and args.gold):
-        print("error: --model, --method and --gold are required without --counts",
-              file=sys.stderr)
-        return 1
+        raise StatposError("--model, --method and --gold are required without --counts")
     model = counts_mod.load_model(args.model)
+    config = taggers.TaggerConfig(method=args.method,
+                                  smoothing=_smoothing_from(args, model.tagset))
     gold, _ = corpus_io.load_corpus(args.gold, model.tagset, strict=True)
-    config = taggers.TaggerConfig(method=args.method, smoothing=_smoothing_from(args))
     predicted = [taggers.tag_sentence([w for w, _ in s], model, config) for s in gold]
     report = evaluation.evaluate(gold, predicted)
     sys.stdout.write(evaluation.format_report(report, style=args.style))
@@ -145,7 +136,7 @@ def _fmt_prob(p):
 
 def cmd_probe(args):
     model = counts_mod.load_model(args.model)
-    smoothing = _smoothing_from(args)
+    smoothing = _smoothing_from(args, model.tagset)
     raw_smoothing = SmoothingConfig(alpha=0.0, lambda3=1.0, lambda2=0.0, lambda1=0.0,
                                     unknown_policy=smoothing.unknown_policy,
                                     open_class_tags=smoothing.open_class_tags)
@@ -160,20 +151,15 @@ def cmd_probe(args):
         print(f"smoothed\t{_fmt_prob(prob(model, *q[1:], smoothing))}")
     elif q[0] == "lex" and len(q) == 2:
         word = q[1]
-        entries = model.tags_for_word.get(word)
-        if entries is None:
-            print(f"error: unknown word {word!r}", file=sys.stderr)
-            return 1
-        dist = [(counts_mod.p_tag_given_word(model, word, t), t) for t in entries]
+        if word not in model.vocabulary:
+            raise UnknownWord(f"unknown word {word!r}")
+        dist = [(counts_mod.p_tag_given_word(model, word, t), t) for t in model.tagset
+                if (word, t) in model.word_tag_count]
         dist.sort(key=lambda pt: (-pt[0], pt[1]))
         print(" / ".join(f"{t} {_fmt_prob(p)}" for p, t in dist))
     elif q[0] == "decode" and len(q) >= 3:
-        method = q[1]
-        if method not in taggers.METHODS:
-            print(f"error: unknown method {method!r}", file=sys.stderr)
-            return 1
         words = q[2:]
-        config = taggers.TaggerConfig(method=method, smoothing=smoothing)
+        config = taggers.TaggerConfig(method=q[1], smoothing=smoothing)
         tagged, trace = taggers.decode_with_trace(words, model, config)
         print(corpus_io.serialize_tagged_sentence(tagged))
         print(f"path_score\t{trace.path_score:.6f}")
@@ -181,8 +167,7 @@ def cmd_probe(args):
             row = "\t".join(f"{t}={s:.4f}" for t, s in sorted(scores.items()))
             print(f"{i}\t{words[i]}\t{row}")
     else:
-        print(f"error: unknown query form {' '.join(q)!r}", file=sys.stderr)
-        return 1
+        raise StatposError(f"unknown query form {' '.join(q)!r}")
     return 0
 
 

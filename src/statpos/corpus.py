@@ -11,9 +11,9 @@ import io
 from .errors import (
     CorpusLineError,
     EmptyLine,
-    IoFailure,
     MalformedToken,
     UnknownTag,
+    text_file,
 )
 
 
@@ -48,16 +48,10 @@ def load_corpus(source, tagset, strict=True):
     the first bad line raises CorpusLineError (skipped is always 0); in
     lenient mode bad lines are skipped and counted.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        try:
-            fh = open(source, encoding="utf-8")
-        except OSError as e:
-            raise IoFailure(str(e)) from e
-        with fh:
-            return _load_stream(fh, tagset, strict)
-    if isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-    return _load_stream(source, tagset, strict)
+    with text_file(source) as fh:
+        if isinstance(fh.read(0), bytes):
+            fh = io.TextIOWrapper(fh, encoding="utf-8")
+        return _load_stream(fh, tagset, strict)
 
 
 def _load_stream(fh, tagset, strict):
@@ -79,20 +73,14 @@ def _load_stream(fh, tagset, strict):
         # raised while decoding the chunk that follows the last line read
         bad = lineno + 1 + e.object.count(b"\n", 0, e.start)
         raise CorpusLineError(bad, f"not UTF-8 text ({e.reason})") from e
-    except OSError as e:
-        raise IoFailure(str(e)) from e
     return sentences, skipped
 
 
 def save_corpus(sentences, sink):
     """Write tagged sentences, one per line.  Accepts a path or text stream."""
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w", encoding="utf-8") as fh:
-            for s in sentences:
-                fh.write(serialize_tagged_sentence(s) + "\n")
-    else:
+    with text_file(sink, "w") as fh:
         for s in sentences:
-            sink.write(serialize_tagged_sentence(s) + "\n")
+            fh.write(serialize_tagged_sentence(s) + "\n")
 
 
 def tokenize_raw_line(line):

@@ -6,6 +6,7 @@ padded with START/END sentinels (double START for trigram contexts) so every
 transition query is well-defined at the edges.
 """
 
+import math
 import os
 import re
 from collections import Counter
@@ -15,10 +16,12 @@ from .errors import (
     CorruptSection,
     EmptyCorpus,
     FormatVersionMismatch,
+    InvalidConfig,
     IoFailure,
     StatposError,
     UnknownTag,
     UnknownWord,
+    text_file,
 )
 from .tagset import (
     DEFAULT_OPEN_CLASS_TAGS,
@@ -52,13 +55,14 @@ class SmoothingConfig:
     open_class_tags: frozenset = field(default_factory=lambda: DEFAULT_OPEN_CLASS_TAGS)
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        total = self.lambda3 + self.lambda2 + self.lambda1
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"interpolation weights must sum to 1, got {total}")
-        if min(self.lambda3, self.lambda2, self.lambda1) < 0:
-            raise ValueError("interpolation weights must be nonnegative")
+        if not 0 <= self.alpha < math.inf:
+            raise InvalidConfig(f"alpha must be finite and nonnegative, got {self.alpha}")
+        lambdas = (self.lambda3, self.lambda2, self.lambda1)
+        if not all(0 <= w < math.inf for w in lambdas):
+            raise InvalidConfig(f"interpolation weights must be finite and nonnegative, "
+                                f"got {lambdas}")
+        if abs(sum(lambdas) - 1.0) > 1e-9:
+            raise InvalidConfig(f"interpolation weights must sum to 1, got {sum(lambdas)}")
         object.__setattr__(self, "open_class_tags", frozenset(self.open_class_tags))
 
 
@@ -77,11 +81,7 @@ class CountsModel:
         for (word, _tag), n in self.word_tag_count.items():
             self.word_count[word] += n
         self.word_count = dict(self.word_count)
-        self.vocabulary = set(self.word_count)
-        # Lexical table per word, used by the probe output.
-        self.tags_for_word = {}
-        for (word, tag), n in self.word_tag_count.items():
-            self.tags_for_word.setdefault(word, {})[tag] = n
+        self.vocabulary = self.word_count.keys()
         # SmoothingConfig -> the taggers' tables, derived from these counts
         self._tables = {}
 
@@ -217,17 +217,21 @@ def _tag_in(label):
 def save_model(model, sink):
     """Write to a text stream, or to a path atomically: a temporary file in
     the same directory is renamed over the target once it is complete."""
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        tmp = f"{os.fsdecode(sink)}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                _write_model(model, fh)
-            os.replace(tmp, sink)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    else:
+    if not isinstance(sink, (str, bytes, os.PathLike)):
         _write_model(model, sink)
+        return
+    tmp = f"{os.fsdecode(sink)}.{os.getpid()}.tmp"
+    try:
+        with text_file(tmp, "w") as fh:
+            _write_model(model, fh)
+        # renamed only once closed, so the target is never a partial file
+        try:
+            os.replace(tmp, sink)
+        except OSError as e:
+            raise IoFailure(str(e)) from e
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_model(model, fh):
@@ -251,21 +255,8 @@ def _write_model(model, fh):
 
 
 def load_model(source):
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        try:
-            fh = open(source, encoding="utf-8")
-        except OSError as e:
-            raise IoFailure(str(e)) from e
-        with fh:
-            try:
-                return _read_model(fh)
-            except UnicodeDecodeError as e:
-                raise IoFailure(f"{os.fsdecode(source)}: not UTF-8 text ({e.reason})") from e
-    return _read_model(source)
-
-
-def _read_model(fh):
-    lines = [line.rstrip("\n") for line in fh]
+    with text_file(source) as fh:
+        lines = [line.rstrip("\n") for line in fh]
     if not lines:
         raise CorruptSection("empty model file")
     header = lines[0]

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one place that
+opens files, so every file failure reaches the caller as an IoFailure."""
+
+import contextlib
+import os
 
 
 class StatposError(Exception):
@@ -49,8 +53,12 @@ class CorpusLineError(StatposError):
         super().__init__(f"line {lineno}: {cause}")
 
 
-class IoFailure(StatposError):
+class IoFailure(StatposError, OSError):
     pass
+
+
+class InvalidConfig(StatposError, ValueError):
+    """A smoothing or decoding setting outside its domain."""
 
 
 class FormatVersionMismatch(StatposError):
@@ -82,3 +90,28 @@ class WordMismatch(StatposError):
 
 class InstanceTooLarge(StatposError):
     pass
+
+
+@contextlib.contextmanager
+def text_file(source, mode="r"):
+    """Yield a text stream for a path or an already open stream.
+
+    A path is opened as UTF-8 and closed on exit; a stream is used as is and
+    never closed.  An OSError becomes an IoFailure.  In read mode a
+    UnicodeDecodeError does too, naming this file: a write-mode stream does
+    not claim the decode errors of another file read inside its block.
+    """
+    is_path = isinstance(source, (str, bytes, os.PathLike))
+    name = os.fsdecode(source) if is_path else getattr(source, "name", "<stream>")
+    try:
+        with (open(source, mode, encoding="utf-8") if is_path
+              else contextlib.nullcontext(source)) as fh:
+            yield fh
+    except IoFailure:
+        raise
+    except OSError as e:
+        raise IoFailure(str(e)) from e
+    except UnicodeDecodeError as e:
+        if mode != "r":
+            raise
+        raise IoFailure(f"{name}: not UTF-8 text ({e.reason})") from e

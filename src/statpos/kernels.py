@@ -5,9 +5,10 @@ Each order's recurrence is written once.  The backward pass
 (`_backward_bigram`, `_backward_trigram`) fills beta[i], the best score of
 positions i..n-1 given the state at i (a tag for the bigram, the pair of the
 previous and current tag for the trigram).  `viterbi_*` reconstructs the path
-forward from beta; `max_marginals_*` also runs the forward pass, so that
-alpha + beta - emit at a position is the best total score with that position
-pinned to each tag.
+forward from beta; `max_marginals_*` also runs the forward pass for fwd[i],
+the best score of positions 0..i-1 plus the transition into the state at i,
+so fwd + beta at a position is the best total score with that position
+pinned to each tag (fwd leaves out the emission at i, which beta holds).
 
 Path reconstruction picks, at every step, the smallest tag index among the
 candidates that achieve the maximum (within TIE_TOL), so the returned
@@ -27,11 +28,6 @@ TIE_TOL = 1e-10
 
 def _first_argmax(values):
     return int(np.argmax(values >= np.max(values) - TIE_TOL))
-
-
-def _pinned(margins):
-    # -inf - -inf from zero-probability emissions; pin those back to -inf
-    return np.where(np.isnan(margins), -np.inf, margins)
 
 
 # --- first order: emit (n,T); start (T,); trans (T,T); end (T,) --------------
@@ -70,11 +66,11 @@ def max_marginals_bigram(emit, start, trans, end):
     beta = _backward_bigram(emit, trans, end)
     path, score = _path_bigram(start, trans, beta)
     n, T = emit.shape
-    alpha = np.empty((n, T))
-    alpha[0] = start + emit[0]
+    fwd = np.empty((n, T))
+    fwd[0] = start
     for i in range(1, n):
-        alpha[i] = emit[i] + np.max(alpha[i - 1][:, None] + trans, axis=0)
-    return path, score, _pinned(alpha + beta - emit)
+        fwd[i] = np.max((fwd[i - 1] + emit[i - 1])[:, None] + trans, axis=0)
+    return path, score, fwd + beta
 
 
 # --- second order: emit (n,T); start2 (T,) = P(t1|START,START); tri (T+1,T,T)
@@ -115,9 +111,9 @@ def max_marginals_trigram(emit, start2, tri, tri_end):
     path, score = _path_trigram(start2, tri, beta)
     n, T = emit.shape
     # pair states (t_{i-1}, t_i); axis index T = START
-    alpha = np.full((n, T + 1, T), -np.inf)
-    alpha[0, T] = start2 + emit[0]
+    fwd = np.full((n, T + 1, T), -np.inf)
+    fwd[0, T] = start2
     for i in range(1, n):
-        # alpha[i, b, c] = emit[i, c] + max_a alpha[i-1, a, b] + tri[a, b, c]
-        alpha[i, :T] = emit[i][None, :] + np.max(alpha[i - 1][:, :, None] + tri, axis=0)
-    return path, score, np.max(_pinned(alpha + beta - emit[:, None, :]), axis=1)
+        # fwd[i, b, c] = max_a fwd[i-1, a, b] + emit[i-1, b] + tri[a, b, c]
+        fwd[i, :T] = np.max((fwd[i - 1] + emit[i - 1][None, :])[:, :, None] + tri, axis=0)
+    return path, score, np.max(fwd + beta, axis=1)

@@ -27,7 +27,7 @@ from .counts import (
     p_trigram_transition,
     p_word_given_tag,
 )
-from .errors import EmptySentence, InstanceTooLarge, LengthMismatch, UnknownTag
+from .errors import EmptySentence, InstanceTooLarge, InvalidConfig, LengthMismatch, UnknownTag
 from .tagset import END, START
 
 METHODS = ("unigram", "bigram", "trigram", "hmm")
@@ -42,7 +42,7 @@ class TaggerConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise InvalidConfig(f"unknown method {self.method!r}")
 
 
 @dataclass

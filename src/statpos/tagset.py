@@ -5,7 +5,7 @@ sentence boundaries internally; they are never valid in corpus files and are
 excluded from every user-visible tagset.
 """
 
-from .errors import IoFailure, StatposError
+from .errors import StatposError, text_file
 
 START = "START"
 END = "END"
@@ -74,19 +74,9 @@ class Tagset:
     @classmethod
     def from_file(cls, path):
         """Read a tagset file: one label per line, '#' comments ignored."""
-        labels = []
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    labels.append(line)
-        except OSError as e:
-            raise IoFailure(str(e)) from e
-        except UnicodeDecodeError as e:
-            raise IoFailure(f"{path}: not UTF-8 text ({e.reason})") from e
-        return cls(labels)
+        with text_file(path) as fh:
+            lines = [raw.strip() for raw in fh]
+        return cls(line for line in lines if line and not line.startswith("#"))
 
 
 def default_tagset():

@@ -1,6 +1,6 @@
 import pytest
 
-from statpos import cli
+from statpos import errors
 from statpos.cli import main
 
 TRAIN = "a/NN b/VM\nc/JJ d/QC\na/NN d/QC\n"
@@ -80,6 +80,20 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nope.txt" in err
 
+    def test_model_path_is_a_directory(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a/NN\n", encoding="utf-8")
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        code, out, err = run(capsys, ["train", "--corpus", str(corpus),
+                                      "--model", str(model_dir)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "models" in err
+        assert list(model_dir.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "models"]
+
     def test_word_spelled_like_terminator(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a/NN count=1/NN b/VM\n", encoding="utf-8")
@@ -148,7 +162,7 @@ class TestTag:
             opened.append(fh)
             return fh
 
-        monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+        monkeypatch.setattr(errors, "open", tracking_open, raising=False)
         code, out, err = run(capsys, ["tag", "--model", str(model_path), "--method", "hmm",
                                       "--input", str(src),
                                       "--output", str(tmp_path / "nonexistent" / "o.txt")])
@@ -183,6 +197,13 @@ class TestEval:
         code, out, _ = run(capsys, ["eval", "--counts", "3", "4"])
         assert code == 0
         assert "accuracy: 75.00" in out
+
+    @pytest.mark.parametrize("correct,total", [("1", "0"), ("0", "0"), ("5", "3"), ("-1", "3")])
+    def test_counts_out_of_range(self, capsys, correct, total):
+        code, out, err = run(capsys, ["eval", "--counts", correct, total])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_tsv_style(self, model_path, tmp_path, capsys):
         gold = tmp_path / "gold.txt"
@@ -295,6 +316,14 @@ class TestNonUtf8Input:
         self.assert_one_error_line(capsys, ["tag", "--model", str(model_path),
                                             "--method", "hmm", "--input", str(src)], "in.txt")
 
+    def test_tag_input_with_output_path(self, model_path, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_bytes(self.LATIN1 + b" a\n")
+        self.assert_one_error_line(capsys, ["tag", "--model", str(model_path),
+                                            "--method", "hmm", "--input", str(src),
+                                            "--output", str(tmp_path / "out.txt")],
+                                   "in.txt: not UTF-8")
+
     def test_tag_model(self, model_path, tmp_path, capsys):
         model = tmp_path / "latin1-model.txt"
         model.write_bytes(model_path.read_bytes().replace(b"\na\t", b"\n" + self.LATIN1 + b"\t"))
@@ -308,6 +337,46 @@ class TestNonUtf8Input:
         gold.write_bytes(b"a/NN b/VM\nc/JJ " + self.LATIN1 + b"/QC\n")
         self.assert_one_error_line(capsys, ["eval", "--model", str(model_path), "--method", "hmm",
                                             "--gold", str(gold)], "line 2")
+
+
+class TestBadSettings:
+    """A setting outside its domain ends in one error line, exit 1."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--unknown-policy", "FOO"],
+        ["--alpha", "-1"],
+        ["--alpha", "nan"],
+        ["--alpha", "inf"],
+        ["--lambdas", "0.5,0.5,0.5"],
+        ["--lambdas", "nan,0,1"],
+    ], ids=["policy-FOO", "alpha-negative", "alpha-nan", "alpha-inf", "lambdas-sum",
+            "lambdas-nan"])
+    @pytest.mark.parametrize("command", ["tag", "eval", "probe"])
+    def test_rejected(self, model_path, tmp_path, capsys, command, flags):
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        gold = tmp_path / "gold.txt"
+        gold.write_text(TRAIN, encoding="utf-8")
+        argv = {
+            "tag": ["tag", "--model", str(model_path), "--method", "unigram",
+                    "--input", str(src), "--output", str(tmp_path / "out.txt")],
+            "eval": ["eval", "--model", str(model_path), "--method", "bigram",
+                     "--gold", str(gold)],
+            "probe": ["probe", "--model", str(model_path)],
+        }[command] + flags
+        if command == "probe":
+            argv += ["decode", "bigram", "zzz"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unknown_method_in_probe(self, model_path, capsys):
+        code, out, err = run(capsys, ["probe", "--model", str(model_path),
+                                      "decode", "quadgram", "a"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown method 'quadgram'\n"
 
 
 class TestSaveLoadParity:

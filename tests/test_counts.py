@@ -1,4 +1,5 @@
 import io
+import math
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from statpos.errors import (
     CorruptSection,
     EmptyCorpus,
     FormatVersionMismatch,
+    InvalidConfig,
     StatposError,
     UnknownTag,
     UnknownWord,
@@ -348,3 +350,13 @@ class TestSmoothingConfig:
     def test_negative_alpha(self):
         with pytest.raises(ValueError):
             SmoothingConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("settings", [
+        {"alpha": math.nan},
+        {"alpha": math.inf},
+        {"lambda3": math.nan},
+        {"lambda1": math.nan},
+    ])
+    def test_non_finite_rejected(self, settings):
+        with pytest.raises(InvalidConfig):
+            SmoothingConfig(**settings)

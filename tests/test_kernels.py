@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from statpos import kernels
 from statpos.kernels import TIE_TOL, _first_argmax
 
 
@@ -15,3 +17,44 @@ from statpos.kernels import TIE_TOL, _first_argmax
 ])
 def test_first_argmax_picks_smallest_index_of_the_maximum(values, expected):
     assert _first_argmax(np.array(values)) == expected
+
+
+def _path_score_bigram(path, emit, start, trans, end):
+    score = start[path[0]] + end[path[-1]] + sum(emit[i, t] for i, t in enumerate(path))
+    return score + sum(trans[a, b] for a, b in zip(path, path[1:]))
+
+
+def _path_score_trigram(path, emit, start2, tri, tri_end):
+    ctx = [emit.shape[1]] + list(path)      # index T stands for START
+    score = start2[path[0]] + sum(emit[i, t] for i, t in enumerate(path))
+    score += sum(tri[ctx[i - 1], ctx[i], path[i]] for i in range(1, len(path)))
+    return score + tri_end[ctx[-2], path[-1]]
+
+
+@pytest.mark.parametrize("order", ["bigram", "trigram"])
+def test_max_marginals_with_zero_probability_emission(order):
+    # A tag that cannot emit a word is -inf in emit; its margin must be -inf
+    # and every other margin the best score over the paths through it.
+    rng = np.random.default_rng(3)
+    n, T = 4, 3
+    emit = np.log(rng.uniform(0.1, 1.0, (n, T)))
+    emit[1, 0] = emit[2, 2] = -np.inf
+    if order == "bigram":
+        tables = (emit, np.log(rng.uniform(0.1, 1.0, T)),
+                  np.log(rng.uniform(0.1, 1.0, (T, T))), np.log(rng.uniform(0.1, 1.0, T)))
+        run, score_of = kernels.max_marginals_bigram, _path_score_bigram
+    else:
+        tables = (emit, np.log(rng.uniform(0.1, 1.0, T)),
+                  np.log(rng.uniform(0.1, 1.0, (T + 1, T, T))),
+                  np.log(rng.uniform(0.1, 1.0, (T + 1, T))))
+        run, score_of = kernels.max_marginals_trigram, _path_score_trigram
+    path, score, margins = run(*tables)
+    expected = np.full((n, T), -np.inf)
+    for p in itertools.product(range(T), repeat=n):
+        s = score_of(p, *tables)
+        for i, t in enumerate(p):
+            expected[i, t] = max(expected[i, t], s)
+    assert score == pytest.approx(expected.max())
+    assert np.array_equal(np.isneginf(margins), np.isneginf(expected))
+    finite = np.isfinite(expected)
+    assert np.allclose(margins[finite], expected[finite], rtol=1e-12, atol=0)
