@@ -92,7 +92,8 @@ def cmd_tag(args):
     config = taggers.TaggerConfig(method=args.method,
                                   smoothing=_smoothing_from(args, model.tagset))
     with contextlib.ExitStack() as stack:
-        instream = stack.enter_context(text_file(args.input or sys.stdin))
+        instream = stack.enter_context(
+            text_file(args.input or getattr(sys.stdin, "buffer", sys.stdin)))
         outstream = stack.enter_context(text_file(args.output or sys.stdout, "w"))
         for raw in instream:
             line = raw.rstrip("\r\n")

@@ -6,8 +6,6 @@ slashes.  A tagged sentence is a list of (word, tag) tuples; a raw sentence
 is a list of words.
 """
 
-import io
-
 from .errors import (
     CorpusLineError,
     EmptyLine,
@@ -49,8 +47,6 @@ def load_corpus(source, tagset, strict=True):
     lenient mode bad lines are skipped and counted.
     """
     with text_file(source) as fh:
-        if isinstance(fh.read(0), bytes):
-            fh = io.TextIOWrapper(fh, encoding="utf-8")
         return _load_stream(fh, tagset, strict)
 
 

@@ -1,9 +1,9 @@
 """Frequency tables and the probability queries built on them.
 
-All counts are exact integers gathered in one pass over the corpus;
-probabilities are computed on demand by the p_* functions.  Sentence boundaries are
-padded with START/END sentinels (double START for trigram contexts) so every
-transition query is well-defined at the edges.
+One pass over the corpus counts word/tag pairs and tag trigrams; the other
+tables follow from them, and the p_* functions compute probabilities on demand.
+Sentence boundaries are padded with START/END sentinels (double START for
+trigram contexts) so every transition query is well-defined at the edges.
 """
 
 import math
@@ -67,27 +67,39 @@ class SmoothingConfig:
 
 
 class CountsModel:
-    """Immutable bundle of frequency tables trained from a tagged corpus."""
+    """Immutable bundle of frequency tables trained from a tagged corpus.
 
-    def __init__(self, tagset, word_tag_count, tag_count, tag_bigram_count,
-                 tag_trigram_count, total_tokens):
+    Built from the word/tag and tag-trigram counts; every other table is
+    derived from them.  Each bigram of a padded sentence ends one trigram, so
+    bigram(b, c) = sum over a of trigram(a, b, c), and START and END count
+    once per sentence: the total of the (START, START, .) trigrams."""
+
+    def __init__(self, tagset, word_tag_count, tag_trigram_count):
         self.tagset = tagset
         self.word_tag_count = dict(word_tag_count)
-        self.tag_count = dict(tag_count)
-        self.tag_bigram_count = dict(tag_bigram_count)
         self.tag_trigram_count = dict(tag_trigram_count)
-        self.total_tokens = total_tokens
-        self.word_count = Counter()
-        for (word, _tag), n in self.word_tag_count.items():
-            self.word_count[word] += n
-        self.word_count = dict(self.word_count)
-        self.vocabulary = self.word_count.keys()
+        word_count, tag_count, bigram = {}, {}, {}
+        for (word, tag), n in self.word_tag_count.items():
+            word_count[word] = word_count.get(word, 0) + n
+            tag_count[tag] = tag_count.get(tag, 0) + n
+        for (_, b, c), n in self.tag_trigram_count.items():
+            bigram[b, c] = bigram.get((b, c), 0) + n
+        # checked once per distinct tag, at most T+2 of them, not per record
+        for tag in tag_count:
+            self._check_tag(tag, allow_sentinels=False)
+        for tag in sorted({a for a, _, _ in self.tag_trigram_count}.union(*bigram)):
+            self._check_tag(tag)
+        self.total_tokens = sum(tag_count.values())
+        sentences = sum(n for (a, b, _), n in self.tag_trigram_count.items()
+                        if a == b == START)
+        if sentences:
+            tag_count[START] = tag_count[END] = sentences
+        self.word_count = word_count
+        self.vocabulary = word_count.keys()
+        self.tag_count = tag_count
+        self.tag_bigram_count = bigram
         # SmoothingConfig -> the taggers' tables, derived from these counts
         self._tables = {}
-
-    @property
-    def num_sentences(self):
-        return self.tag_count.get(START, 0)
 
     def _check_tag(self, tag, allow_sentinels=True):
         if tag in self.tagset:
@@ -98,35 +110,22 @@ class CountsModel:
 
 
 def build_counts(corpus, tagset):
-    """Accumulate every frequency table from a list of tagged sentences."""
+    """Count the word/tag pairs and the padded tag trigrams of a list of
+    tagged sentences; CountsModel derives the other tables from them."""
     if not corpus:
         raise EmptyCorpus("no sentences")
     word_tag = Counter()
-    tag_count = Counter()
-    bigram = Counter()
     trigram = Counter()
-    total_tokens = 0
     for sentence in corpus:
-        tags = []
+        tags = [START, START]
         for word, tag in sentence:
-            if tag not in tagset:
-                raise UnknownTag(tag)
             if word in (START_SERIALIZED, END_SERIALIZED):
                 raise StatposError(f"word {word!r} collides with a reserved sentinel spelling")
-            word_tag[(word, tag)] += 1
+            word_tag[word, tag] += 1
             tags.append(tag)
-        total_tokens += len(tags)
-        tag_count[START] += 1
-        tag_count[END] += 1
-        for t in tags:
-            tag_count[t] += 1
-        padded = [START] + tags + [END]
-        for a, b in zip(padded, padded[1:]):
-            bigram[(a, b)] += 1
-        padded2 = [START, START] + tags + [END]
-        for a, b, c in zip(padded2, padded2[1:], padded2[2:]):
-            trigram[(a, b, c)] += 1
-    return CountsModel(tagset, word_tag, tag_count, bigram, trigram, total_tokens)
+        tags.append(END)
+        trigram.update(zip(tags, tags[1:], tags[2:]))
+    return CountsModel(tagset, word_tag, trigram)
 
 
 def p_tag_given_word(model, word, tag):
@@ -199,7 +198,9 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 # [word_tag], [tag], [bigram], [trigram]; tab-separated records (keys then an
 # integer count), each terminated by "count=<records>".  Sentinels are spelled
 # <S> and </S>.  Records in every section but [tagset] contain a tab, and tag
-# labels never start with "count=", so no record reads as a terminator.
+# labels never start with "count=", so no record reads as a terminator.  The
+# model is built from [tagset], [word_tag] and [trigram]; [tag] and [bigram]
+# are written from the derived tables and must equal them on load.
 
 _TERMINATOR = re.compile(r"count=([0-9]+)")
 _SENTINEL_OUT = {START: START_SERIALIZED, END: END_SERIALIZED}
@@ -267,49 +268,41 @@ def load_model(source):
         raise FormatVersionMismatch(f"unsupported model version {version!r}")
 
     sections = {}
-    i = 1
-    while i < len(lines):
-        name_line = lines[i]
-        if not (name_line.startswith("[") and name_line.endswith("]")):
-            raise CorruptSection(f"expected section header, got {name_line!r}")
-        name = name_line[1:-1]
-        i += 1
-        records = []
-        while i < len(lines) and not (lines[i].startswith("count=")
-                                      and _TERMINATOR.fullmatch(lines[i])):
-            records.append(lines[i].split("\t"))
-            i += 1
-        if i >= len(lines):
+    rest = iter(lines[1:])
+    for head in rest:
+        if not (head.startswith("[") and head.endswith("]")):
+            raise CorruptSection(f"expected section header, got {head!r}")
+        name, records = head[1:-1], []
+        for line in rest:
+            if line.startswith("count=") and (terminator := _TERMINATOR.fullmatch(line)):
+                break
+            records.append(line.split("\t"))
+        else:
             raise CorruptSection(f"section {name!r} missing count terminator")
-        declared = int(_TERMINATOR.fullmatch(lines[i]).group(1))
+        declared = int(terminator.group(1))
         if declared != len(records):
             raise CorruptSection(
                 f"section {name!r} declares {declared} records, found {len(records)}")
         sections[name] = records
-        i += 1
 
-    required = ["tagset", "word_tag", "tag", "bigram", "trigram"]
-    for name in required:
+    for name in ("tagset", "word_tag", "tag", "bigram", "trigram"):
         if name not in sections:
             raise CorruptSection(f"missing section [{name}]")
 
-    def ints(records, width):
+    def table(name, width):
+        """{key: count} for a section; sentinel spellings in tag keys are read back."""
         out = {}
-        for rec in records:
-            if len(rec) != width or not rec[-1].lstrip("-").isdigit():
+        for rec in sections[name]:
+            if len(rec) != width or not (rec[-1].isascii() and rec[-1].isdigit()):
                 raise CorruptSection(f"bad record {rec!r}")
-            count = int(rec[-1])
-            if count < 0:
-                raise CorruptSection(f"negative count in {rec!r}")
-            out[tuple(rec[:-1])] = count
+            key = tuple(rec[:-1]) if name == "word_tag" else tuple(map(_tag_in, rec[:-1]))
+            out[key[0] if width == 2 else key] = int(rec[-1])
         return out
 
-    tagset = Tagset(rec[0] for rec in sections["tagset"])
-    word_tag = {(w, t): c for (w, t), c in ints(sections["word_tag"], 3).items()}
-    tag_count = {_tag_in(t): c for (t,), c in ints(sections["tag"], 2).items()}
-    bigram = {(_tag_in(a), _tag_in(b)): c
-              for (a, b), c in ints(sections["bigram"], 3).items()}
-    trigram = {(_tag_in(a), _tag_in(b), _tag_in(c)): n
-               for (a, b, c), n in ints(sections["trigram"], 4).items()}
-    total_tokens = sum(word_tag.values())
-    return CountsModel(tagset, word_tag, tag_count, bigram, trigram, total_tokens)
+    model = CountsModel(Tagset(rec[0] for rec in sections["tagset"]),
+                        table("word_tag", 3), table("trigram", 4))
+    for name, width, derived in (("tag", 2, model.tag_count),
+                                 ("bigram", 3, model.tag_bigram_count)):
+        if table(name, width) != derived:
+            raise CorruptSection(f"section [{name}] disagrees with [word_tag] and [trigram]")
+    return model

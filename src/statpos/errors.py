@@ -2,6 +2,7 @@
 opens files, so every file failure reaches the caller as an IoFailure."""
 
 import contextlib
+import io
 import os
 
 
@@ -96,16 +97,21 @@ class InstanceTooLarge(StatposError):
 def text_file(source, mode="r"):
     """Yield a text stream for a path or an already open stream.
 
-    A path is opened as UTF-8 and closed on exit; a stream is used as is and
-    never closed.  An OSError becomes an IoFailure.  In read mode a
-    UnicodeDecodeError does too, naming this file: a write-mode stream does
-    not claim the decode errors of another file read inside its block.
+    A path is opened as UTF-8 and closed on exit; a stream is never closed,
+    and one that yields bytes is read as strict UTF-8.  An OSError becomes an
+    IoFailure.  In read mode a UnicodeDecodeError does too, naming this file:
+    a write-mode stream does not claim the decode errors of another file read
+    inside its block.
     """
     is_path = isinstance(source, (str, bytes, os.PathLike))
     name = os.fsdecode(source) if is_path else getattr(source, "name", "<stream>")
     try:
-        with (open(source, mode, encoding="utf-8") if is_path
-              else contextlib.nullcontext(source)) as fh:
+        with contextlib.ExitStack() as stack:
+            fh = stack.enter_context(open(source, mode, encoding="utf-8")) if is_path else source
+            # only probed in read mode: read(0) on a write-only stream raises
+            if mode == "r" and isinstance(fh.read(0), bytes):
+                fh = io.TextIOWrapper(fh, encoding="utf-8")
+                stack.callback(fh.detach)  # else collecting the wrapper closes the stream
             yield fh
     except IoFailure:
         raise

@@ -10,8 +10,8 @@ from .errors import StatposError, text_file
 START = "START"
 END = "END"
 
-# Serialized spellings of the sentinels in model files.  Corpus words equal to
-# these strings are rejected at build time so model files stay unambiguous.
+# Serialized spellings of the sentinels in model files.  Tag labels and corpus
+# words equal to these strings are rejected so model files stay unambiguous.
 START_SERIALIZED = "<S>"
 END_SERIALIZED = "</S>"
 
@@ -35,7 +35,7 @@ def _check_label(label):
         raise InvalidTagLabel("empty tag label")
     if any(c.isspace() for c in label) or "/" in label:
         raise InvalidTagLabel(f"tag label {label!r} contains whitespace or '/'")
-    if label in (START, END):
+    if label in (START, END, START_SERIALIZED, END_SERIALIZED):
         raise InvalidTagLabel(f"{label!r} is a reserved sentinel")
     if label.startswith("count="):
         raise InvalidTagLabel(f"{label!r} would read as a model-file section terminator")

@@ -1,3 +1,6 @@
+import io
+import sys
+
 import pytest
 
 from statpos import errors
@@ -172,11 +175,44 @@ class TestTag:
         assert "o.txt" in err
         assert opened and all(fh.closed for fh in opened)
 
+    def test_stdin(self, model_path, tmp_path, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"a b\n"), encoding="utf-8",
+                                 errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        out_path = tmp_path / "out.txt"
+        assert main(["tag", "--model", str(model_path), "--method", "hmm",
+                     "--output", str(out_path)]) == 0
+        assert out_path.read_text(encoding="utf-8") == "a/NN b/VM\n"
+        assert not stdin.closed
+
     def test_missing_model(self, tmp_path, capsys):
         code, _, err = run(capsys, ["tag", "--model", str(tmp_path / "none.txt"),
                                     "--method", "hmm", "--input", str(tmp_path / "none.txt")])
         assert code == 1
         assert "error" in err
+
+
+class TestBadModel:
+    """A model file that disagrees with itself ends in one error line, exit 1."""
+
+    @pytest.mark.parametrize("old, new", [
+        ("\nNN\t2\n", "\nNN\t1\n"),
+        ("\nNN\tVM\t1\n", "\nNN\tVM\t2\n"),
+        ("\nb\tVM\t1\n", "\nb\tZZZ\t1\n"),
+        ("\nb\tVM\t1\n", "\nb\tVM\t\u00b2\n"),
+    ], ids=["tag-section", "bigram-section", "foreign-tag", "count-not-ascii"])
+    def test_rejected(self, model_path, tmp_path, capsys, old, new):
+        text = model_path.read_text(encoding="utf-8")
+        assert old in text
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        code, out, err = run(capsys, ["tag", "--model", str(bad), "--method", "bigram",
+                                      "--input", str(src)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEval:
@@ -331,6 +367,15 @@ class TestNonUtf8Input:
         src.write_text("a b\n", encoding="utf-8")
         self.assert_one_error_line(capsys, ["tag", "--model", str(model), "--method", "hmm",
                                             "--input", str(src)], "latin1-model.txt")
+
+    def test_tag_stdin(self, model_path, capsys, monkeypatch):
+        # a C locale opens stdin with surrogateescape, which never fails to decode
+        stdin = io.TextIOWrapper(io.BytesIO(self.LATIN1 + b" a\n"), encoding="utf-8",
+                                 errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        self.assert_one_error_line(capsys, ["tag", "--model", str(model_path), "--method", "hmm"],
+                                   "not UTF-8")
+        assert not stdin.closed
 
     def test_eval_gold(self, model_path, tmp_path, capsys):
         gold = tmp_path / "gold.txt"

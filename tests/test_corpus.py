@@ -1,13 +1,14 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from statpos import (
     Tagset,
     default_tagset,
     load_corpus,
     parse_tagged_line,
+    save_corpus,
     serialize_tagged_sentence,
     tokenize_raw_line,
 )
@@ -95,6 +96,7 @@ class TestLoadCorpus:
         raw = io.BytesIO("एक/QC हंडी/NN\n".encode("utf-8"))
         sentences, _ = load_corpus(raw, tagset)
         assert sentences == [[("एक", "QC"), ("हंडी", "NN")]]
+        assert not raw.closed
 
     def test_missing_file(self, tagset, tmp_path):
         with pytest.raises(IoFailure):
@@ -134,6 +136,12 @@ class TestTagset:
         with pytest.raises(InvalidTagLabel):
             Tagset(["NN", "START"])
 
+    @pytest.mark.parametrize("label", ["<S>", "</S>"])
+    def test_sentinel_spellings_rejected_as_labels(self, label):
+        # a model file writes START and END this way
+        with pytest.raises(InvalidTagLabel):
+            Tagset(["NN", label])
+
     def test_duplicates_rejected(self):
         with pytest.raises(InvalidTagLabel):
             Tagset(["NN", "NN"])
@@ -164,3 +172,18 @@ word_strategy = st.text(
 def test_round_trip_property(sentence):
     line = serialize_tagged_sentence(sentence)
     assert parse_tagged_line(line, default_tagset()) == sentence
+
+
+# words may hold slashes (tokens split at the last one) and any non-ASCII text
+corpus_word = st.text(st.one_of(st.just("/"), st.characters(
+    exclude_categories=("Zs", "Zl", "Zp", "Cc", "Cs"))), min_size=1, max_size=8)
+
+
+@given(st.lists(st.lists(st.tuples(corpus_word, st.sampled_from(DEFAULT_TAGS)),
+                         min_size=1, max_size=6), max_size=5))
+@example([[("a/b", "NN"), ("c/", "VM"), ("//", "SYM")], [("एक", "QC"), ("हंडी/", "NN")]])
+def test_save_corpus_round_trip(sentences):
+    buf = io.StringIO()
+    save_corpus(sentences, buf)
+    raw = io.BytesIO(buf.getvalue().encode("utf-8"))
+    assert load_corpus(raw, default_tagset()) == (sentences, 0)

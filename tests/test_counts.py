@@ -341,6 +341,91 @@ class TestModelSerialization:
         with pytest.raises(FormatVersionMismatch):
             load_model(io.StringIO("NGRAM-POS-MODEL v2\n"))
 
+    def test_golden_file(self):
+        model = model_from(["a/NN b/VM", "c/NN"], Tagset(["NN", "VM"]))
+        buf = io.StringIO()
+        save_model(model, buf)
+        assert buf.getvalue() == GOLDEN_MODEL
+
+
+# save_model's exact output for the corpus "a/NN b/VM", "c/NN"
+GOLDEN_MODEL = """NGRAM-POS-MODEL v1
+[tagset]
+NN
+VM
+count=2
+[word_tag]
+a\tNN\t1
+b\tVM\t1
+c\tNN\t1
+count=3
+[tag]
+</S>\t2
+NN\t2
+<S>\t2
+VM\t1
+count=4
+[bigram]
+NN\t</S>\t1
+NN\tVM\t1
+<S>\tNN\t2
+VM\t</S>\t1
+count=4
+[trigram]
+NN\tVM\t</S>\t1
+<S>\tNN\t</S>\t1
+<S>\tNN\tVM\t1
+<S>\t<S>\tNN\t2
+count=4
+"""
+
+
+def edit_model(old, new):
+    """GOLDEN_MODEL with one record replaced."""
+    assert old in GOLDEN_MODEL
+    return io.StringIO(GOLDEN_MODEL.replace(old, new, 1))
+
+
+class TestModelConsistency:
+    """load_model builds the model from [tagset], [word_tag] and [trigram] and
+    rejects a file whose other sections, tags or counts disagree with them."""
+
+    def test_golden_file_loads(self):
+        model = load_model(io.StringIO(GOLDEN_MODEL))
+        assert model.tag_count == {START: 2, END: 2, "NN": 2, "VM": 1}
+        assert model.total_tokens == 3
+
+    def test_empty_sections_load(self):
+        sections = ("tagset", "word_tag", "tag", "bigram", "trigram")
+        text = "NGRAM-POS-MODEL v1\n" + "".join(f"[{name}]\ncount=0\n" for name in sections)
+        model = load_model(io.StringIO(text))
+        assert model.tag_count == {} and model.total_tokens == 0
+
+    @pytest.mark.parametrize("old, new", [
+        ("NN\t2\n<S>", "NN\t3\n<S>"),
+        ("<S>\t2\nVM", "<S>\t1\nVM"),
+        ("NN\tVM\t1\n<S>\tNN\t2", "NN\tVM\t2\n<S>\tNN\t2"),
+        ("VM\t</S>\t1\ncount", "VM\tNN\t1\ncount"),
+    ], ids=["tag-count", "tag-sentinel", "bigram-count", "bigram-key"])
+    def test_derived_section_disagrees(self, old, new):
+        with pytest.raises(CorruptSection, match="disagrees"):
+            load_model(edit_model(old, new))
+
+    @pytest.mark.parametrize("old, new", [
+        ("b\tVM\t1", "b\tJJ\t1"),
+        ("b\tVM\t1", "b\t<S>\t1"),
+        ("NN\tVM\t</S>\t1", "JJ\tVM\t</S>\t1"),
+        ("<S>\tNN\tVM\t1", "<S>\tNN\tJJ\t1"),
+    ], ids=["word_tag", "word_tag-sentinel", "trigram-first", "trigram-last"])
+    def test_foreign_tag(self, old, new):
+        with pytest.raises(UnknownTag):
+            load_model(edit_model(old, new))
+
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0663", "-1", "+1", "1.0", ""])
+    def test_count_not_ascii_digits(self, count):
+        with pytest.raises(CorruptSection, match="bad record"):
+            load_model(edit_model("a\tNN\t1", f"a\tNN\t{count}"))
+
 
 class TestSmoothingConfig:
     def test_bad_lambdas(self):
