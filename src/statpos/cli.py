@@ -8,7 +8,7 @@ from . import corpus as corpus_io
 from . import counts as counts_mod
 from . import evaluation, taggers
 from .counts import SmoothingConfig, UNIFORM_OPEN_CLASS
-from .errors import EmptyLine, StatposError, UnknownTag, UnknownWord, text_file
+from .errors import EmptyCorpus, StatposError, UnknownTag, UnknownWord, text_file
 from .tagset import Tagset, default_tagset
 
 
@@ -74,9 +74,6 @@ def build_parser():
 def cmd_train(args):
     tagset = Tagset.from_file(args.tagset) if args.tagset else default_tagset()
     sentences, skipped = corpus_io.load_corpus(args.corpus, tagset, strict=not args.lenient)
-    if not sentences:
-        print("error: empty corpus", file=sys.stderr)
-        return 2
     model = counts_mod.build_counts(sentences, tagset)
     counts_mod.save_model(model, args.model)
     print(f"sentences: {len(sentences)}")
@@ -100,12 +97,7 @@ def cmd_tag(args):
             if not line.strip():
                 outstream.write("\n")
                 continue
-            try:
-                words = corpus_io.tokenize_raw_line(line)
-            except EmptyLine as e:
-                print(f"warning: {e}", file=sys.stderr)
-                outstream.write("\n")
-                continue
+            words = corpus_io.tokenize_raw_line(line)
             tagged = taggers.tag_sentence(words, model, config)
             outstream.write(corpus_io.serialize_tagged_sentence(tagged) + "\n")
     return 0
@@ -184,7 +176,7 @@ def main(argv=None):
         return handler(args)
     except StatposError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, EmptyCorpus) else 1
 
 
 if __name__ == "__main__":

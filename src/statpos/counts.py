@@ -82,7 +82,11 @@ class CountsModel:
         for (word, tag), n in self.word_tag_count.items():
             word_count[word] = word_count.get(word, 0) + n
             tag_count[tag] = tag_count.get(tag, 0) + n
-        for (_, b, c), n in self.tag_trigram_count.items():
+        for key, n in self.tag_trigram_count.items():
+            a, b, c = key
+            # START opens a trigram (second only after a first START), END closes one
+            if END in (a, b) or c == START or b == START != a:
+                raise CorruptSection(f"sentinel out of place in trigram {key}")
             bigram[b, c] = bigram.get((b, c), 0) + n
         # checked once per distinct tag, at most T+2 of them, not per record
         for tag in tag_count:
@@ -113,7 +117,7 @@ def build_counts(corpus, tagset):
     """Count the word/tag pairs and the padded tag trigrams of a list of
     tagged sentences; CountsModel derives the other tables from them."""
     if not corpus:
-        raise EmptyCorpus("no sentences")
+        raise EmptyCorpus("empty corpus")
     word_tag = Counter()
     trigram = Counter()
     for sentence in corpus:
@@ -200,7 +204,8 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 # <S> and </S>.  Records in every section but [tagset] contain a tab, and tag
 # labels never start with "count=", so no record reads as a terminator.  The
 # model is built from [tagset], [word_tag] and [trigram]; [tag] and [bigram]
-# are written from the derived tables and must equal them on load.
+# are written from the derived tables and must equal them on load.  No key
+# repeats within a section.
 
 _TERMINATOR = re.compile(r"count=([0-9]+)")
 _SENTINEL_OUT = {START: START_SERIALIZED, END: END_SERIALIZED}
@@ -297,8 +302,13 @@ def load_model(source):
                 raise CorruptSection(f"bad record {rec!r}")
             key = tuple(rec[:-1]) if name == "word_tag" else tuple(map(_tag_in, rec[:-1]))
             out[key[0] if width == 2 else key] = int(rec[-1])
+        if len(out) != len(sections[name]):
+            raise CorruptSection(f"section [{name}] repeats a key")
         return out
 
+    for rec in sections["tagset"]:
+        if len(rec) != 1:
+            raise CorruptSection(f"bad record {rec!r}")
     model = CountsModel(Tagset(rec[0] for rec in sections["tagset"]),
                         table("word_tag", 3), table("trigram", 4))
     for name, width, derived in (("tag", 2, model.tag_count),

@@ -1,13 +1,19 @@
-"""Viterbi decoding kernels: one numpy max-product dynamic program per model
-order.
+"""Viterbi decoding kernel: one numpy max-product dynamic program for both
+model orders.
 
-Each order's recurrence is written once.  The backward pass
-(`_backward_bigram`, `_backward_trigram`) fills beta[i], the best score of
-positions i..n-1 given the state at i (a tag for the bigram, the pair of the
-previous and current tag for the trigram).  `viterbi_*` reconstructs the path
-forward from beta; `max_marginals_*` also runs the forward pass for fwd[i],
-the best score of positions 0..i-1 plus the transition into the state at i,
-so fwd + beta at a position is the best total score with that position
+A state is the tag context that the transition array `trans` reads, and the
+rank of `trans` sets the order: (T,T) for the bigram, whose state is the
+current tag, and (T+1,T,T) for the trigram, whose state is the pair of the
+previous and current tag (previous index T stands for START).  The last axis
+of `trans` is the next tag.  `start` (T,) leaves the START context, and `end`,
+(T,) or (T+1,T), enters END from each state.  Interior transitions are
+whatever `trans` holds, so the HMM decoder can pass doubled weights.
+
+The backward pass (`_backward`) fills beta[i], the best score of positions
+i..n-1 given the state at i.  `viterbi` reconstructs the path forward from
+beta; `max_marginals` also runs the forward pass for fwd[i], the best score
+of positions 0..i-1 plus the transition into the state at i, so fwd + beta,
+maximized over the state's context, is the best total score with position i
 pinned to each tag (fwd leaves out the emission at i, which beta holds).
 
 Path reconstruction picks, at every step, the smallest tag index among the
@@ -30,90 +36,55 @@ def _first_argmax(values):
     return int(np.argmax(values >= np.max(values) - TIE_TOL))
 
 
-# --- first order: emit (n,T); start (T,); trans (T,T); end (T,) --------------
-# Interior transitions are whatever `trans` holds, so the HMM decoder can pass
-# doubled weights.
-
-def _backward_bigram(emit, trans, end):
+def _backward(emit, trans, end):
     n, T = emit.shape
-    beta = np.empty((n, T))
+    beta = np.empty((n,) + end.shape)
     beta[n - 1] = emit[n - 1] + end
     for i in range(n - 2, -1, -1):
-        beta[i] = emit[i] + np.max(trans + beta[i + 1][None, :], axis=1)
+        # max over the next tag c of trans[state, c] + beta[i+1] at the state c leads to
+        beta[i] = emit[i] + np.max(trans + beta[i + 1, :T], axis=-1)
     return beta
 
 
-def _path_bigram(start, trans, beta):
-    n = beta.shape[0]
-    path = np.empty(n, dtype=np.int64)
-    totals = start + beta[0]
-    path[0] = _first_argmax(totals)
+def _path(start, trans, beta):
+    n, T = beta.shape[0], beta.shape[-1]
+    # States are integers: row s of `rows` is trans at state s, and s % last
+    # is the context that the next state keeps (the current tag of a pair
+    # state, 0 for the bigram, whose beta has a single context).
+    rows = trans.reshape(-1, T)
+    last = T ** (trans.ndim - 2)
+    beta = beta.reshape(n, -1, T)
+    s = beta.shape[1] - 1       # the START context
+    totals = start + beta[0, s]
+    path = [_first_argmax(totals)]
     score = totals[path[0]]
+    s = s * T + path[0]
     for i in range(1, n):
-        cand = trans[path[i - 1]] + beta[i]
-        path[i] = _first_argmax(cand)
+        t = _first_argmax(rows[s] + beta[i, s % last])
+        path.append(t)
+        s = (s % last) * T + t
     return path, score
 
 
-def viterbi_bigram(emit, start, trans, end):
+def viterbi(emit, start, trans, end):
     """Best path and its score."""
-    return _path_bigram(start, trans, _backward_bigram(emit, trans, end))
+    return _path(start, trans, _backward(emit, trans, end))
 
 
-def max_marginals_bigram(emit, start, trans, end):
+# The benchmark times the kernel under one name per model order, so both
+# names stay, bound to the one viterbi.
+viterbi_bigram = viterbi_trigram = viterbi
+
+
+def max_marginals(emit, start, trans, end):
     """Best path, its score, and margins (n,T): margins[i, t] is the best
     total score with position i pinned to tag t."""
-    beta = _backward_bigram(emit, trans, end)
-    path, score = _path_bigram(start, trans, beta)
+    beta = _backward(emit, trans, end)
+    path, score = _path(start, trans, beta)
     n, T = emit.shape
-    fwd = np.empty((n, T))
-    fwd[0] = start
+    fwd = np.full(beta.shape, -np.inf)
+    fwd[0].reshape(-1, T)[-1] = start       # the START context
     for i in range(1, n):
-        fwd[i] = np.max((fwd[i - 1] + emit[i - 1])[:, None] + trans, axis=0)
-    return path, score, fwd + beta
-
-
-# --- second order: emit (n,T); start2 (T,) = P(t1|START,START); tri (T+1,T,T)
-# with row T holding the START context; tri_end (T+1,T) = P(END | a, b) -------
-
-def _backward_trigram(emit, tri, tri_end):
-    n, T = emit.shape
-    beta = np.empty((n, T + 1, T))
-    beta[n - 1] = emit[n - 1][None, :] + tri_end
-    for i in range(n - 2, -1, -1):
-        # max over successor c of tri[a, b, c] + beta[i+1, b, c]
-        beta[i] = emit[i][None, :] + np.max(tri + beta[i + 1, :T][None, :, :], axis=2)
-    return beta
-
-
-def _path_trigram(start2, tri, beta):
-    n, T = beta.shape[0], beta.shape[2]
-    path = np.empty(n, dtype=np.int64)
-    totals = start2 + beta[0, T]
-    path[0] = _first_argmax(totals)
-    score = totals[path[0]]
-    for i in range(1, n):
-        a = T if i == 1 else path[i - 2]
-        b = path[i - 1]
-        cand = tri[a, b] + beta[i, b]
-        path[i] = _first_argmax(cand)
-    return path, score
-
-
-def viterbi_trigram(emit, start2, tri, tri_end):
-    """Best path and its score."""
-    return _path_trigram(start2, tri, _backward_trigram(emit, tri, tri_end))
-
-
-def max_marginals_trigram(emit, start2, tri, tri_end):
-    """Best path, its score, and margins (n,T) as in max_marginals_bigram."""
-    beta = _backward_trigram(emit, tri, tri_end)
-    path, score = _path_trigram(start2, tri, beta)
-    n, T = emit.shape
-    # pair states (t_{i-1}, t_i); axis index T = START
-    fwd = np.full((n, T + 1, T), -np.inf)
-    fwd[0, T] = start2
-    for i in range(1, n):
-        # fwd[i, b, c] = max_a fwd[i-1, a, b] + emit[i-1, b] + tri[a, b, c]
-        fwd[i, :T] = np.max((fwd[i - 1] + emit[i - 1][None, :])[:, :, None] + tri, axis=0)
-    return path, score, np.max(fwd + beta, axis=1)
+        # fwd[i, (b, c)] = max over a of fwd[i-1, (a, b)] + emit[i-1, b] + trans[(a, b), c]
+        fwd[i][:T] = np.max((fwd[i - 1] + emit[i - 1])[..., None] + trans, axis=0)
+    return path, score, (fwd + beta).reshape(n, -1, T).max(axis=1)

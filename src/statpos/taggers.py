@@ -190,7 +190,7 @@ def _decode(sentence, model, config, traced):
         args = (np.array(tables.rows(model, sentence, lexical=False)),
                 *tables.transitions(model, config.method))
         if traced:
-            path, score, margins = getattr(kernels, f"max_marginals_{order}")(*args)
+            path, score, margins = kernels.max_marginals(*args)
         else:
             path, _ = getattr(kernels, f"viterbi_{order}")(*args)
     tagged = [(w, tables.labels[j]) for w, j in zip(sentence, path)]

@@ -200,7 +200,9 @@ class TestBadModel:
         ("\nNN\tVM\t1\n", "\nNN\tVM\t2\n"),
         ("\nb\tVM\t1\n", "\nb\tZZZ\t1\n"),
         ("\nb\tVM\t1\n", "\nb\tVM\t\u00b2\n"),
-    ], ids=["tag-section", "bigram-section", "foreign-tag", "count-not-ascii"])
+        ("\nNN\tVM\t</S>\t1\n", "\n</S>\tVM\t</S>\t1\n"),
+    ], ids=["tag-section", "bigram-section", "foreign-tag", "count-not-ascii",
+            "sentinel-out-of-place"])
     def test_rejected(self, model_path, tmp_path, capsys, old, new):
         text = model_path.read_text(encoding="utf-8")
         assert old in text

@@ -421,6 +421,37 @@ class TestModelConsistency:
         with pytest.raises(UnknownTag):
             load_model(edit_model(old, new))
 
+    @pytest.mark.parametrize("edits", [
+        [("NN\tVM\t</S>\t1", "NN\t</S>\tVM\t1"), ("\nVM\t</S>\t1\n", "\n</S>\tVM\t1\n")],
+        [("NN\tVM\t</S>\t1", "</S>\tVM\t</S>\t1")],
+        [("<S>\tNN\tVM\t1", "NN\t<S>\tVM\t1"), ("\nNN\tVM\t1\n", "\n<S>\tVM\t1\n")],
+        [("NN\tVM\t</S>\t1", "NN\tVM\t<S>\t1"), ("\nVM\t</S>\t1\n", "\nVM\t<S>\t1\n")],
+    ], ids=["end-second", "end-first", "start-second-after-tag", "start-third"])
+    def test_sentinel_out_of_place(self, edits):
+        # each edit keeps [tag] and [bigram] equal to the derived tables
+        text = GOLDEN_MODEL
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        with pytest.raises(CorruptSection, match="sentinel out of place"):
+            load_model(io.StringIO(text))
+
+    def test_tagset_record_with_extra_fields(self):
+        with pytest.raises(CorruptSection, match="bad record"):
+            load_model(edit_model("[tagset]\nNN\n", "[tagset]\nNN\tJJ\t7\n"))
+
+    @pytest.mark.parametrize("old, new", [
+        ("a\tNN\t1\nb\tVM\t1\nc\tNN\t1\ncount=3",
+         "a\tNN\t5\na\tNN\t1\nb\tVM\t1\nc\tNN\t1\ncount=4"),
+        ("NN\t2\n<S>\t2\nVM\t1\ncount=4", "NN\t7\nNN\t2\n<S>\t2\nVM\t1\ncount=5"),
+        ("VM\t</S>\t1\ncount=4", "VM\t</S>\t3\nVM\t</S>\t1\ncount=5"),
+        ("<S>\t<S>\tNN\t2\ncount=4", "<S>\t<S>\tNN\t9\n<S>\t<S>\tNN\t2\ncount=5"),
+    ], ids=["word_tag", "tag", "bigram", "trigram"])
+    def test_repeated_key(self, old, new):
+        # the last record carries the true count, so only the repeat is wrong
+        with pytest.raises(CorruptSection, match="repeats a key"):
+            load_model(edit_model(old, new))
+
     @pytest.mark.parametrize("count", ["\u00b2", "\u0663", "-1", "+1", "1.0", ""])
     def test_count_not_ascii_digits(self, count):
         with pytest.raises(CorruptSection, match="bad record"):

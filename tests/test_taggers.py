@@ -15,7 +15,7 @@ from statpos import (
     score_sequence,
     tag_sentence,
 )
-from statpos import taggers
+from statpos import kernels, taggers
 from statpos.errors import EmptySentence, InstanceTooLarge, LengthMismatch, UnknownTag
 
 from conftest import model_from
@@ -27,6 +27,21 @@ RAW = SmoothingConfig(alpha=0.0, lambda3=1.0, lambda2=0.0, lambda1=0.0)
 
 def cfg(method, smoothing=None):
     return TaggerConfig(method=method, smoothing=smoothing or SmoothingConfig())
+
+
+def count_calls(monkeypatch, owner, names):
+    """A Counter of the calls made through owner.<name>, for each name."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return calls
 
 
 class TestUnigram:
@@ -251,18 +266,7 @@ class TestTables:
                                               ("hmm", "transition_tables"),
                                               ("trigram", "trigram_tables")])
     def test_builds_transition_tables_once(self, method, table, monkeypatch):
-        calls = Counter()
-
-        def counting(name):
-            fn = getattr(taggers, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in ("transition_tables", "trigram_tables"):
-            monkeypatch.setattr(taggers, name, counting(name))
+        calls = count_calls(monkeypatch, taggers, ("transition_tables", "trigram_tables"))
         model, _ = random_model(make_rng(5))
         tag_sentence(["a", "b", "c"], model, cfg(method))
         tag_sentence(["c", "oov1"], model, cfg(method))
@@ -304,3 +308,16 @@ class TestTables:
             assert ref() is None
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("method,kernel", [("unigram", None),
+                                           ("bigram", "viterbi_bigram"),
+                                           ("hmm", "viterbi_bigram"),
+                                           ("trigram", "viterbi_trigram")])
+def test_decoding_calls_the_order_kernel_once_per_sentence(method, kernel, monkeypatch):
+    # the benchmark times the kernel layer under these two names
+    calls = count_calls(monkeypatch, kernels, ("viterbi_bigram", "viterbi_trigram"))
+    model, _ = random_model(make_rng(5))
+    tag_sentence(["a", "b", "c"], model, cfg(method))
+    tag_sentence(["c", "oov1"], model, cfg(method))
+    assert calls == ({kernel: 2} if kernel else {})
