@@ -204,9 +204,11 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 # <S> and </S>.  Records in every section but [tagset] contain a tab, and tag
 # labels never start with "count=", so no record reads as a terminator.  The
 # model is built from [tagset], [word_tag] and [trigram]; [tag] and [bigram]
-# are written from the derived tables and must equal them on load.  No key
-# repeats within a section.
+# are written from the derived tables and must equal them on load.  Each
+# section appears once, no other section is allowed, and no key repeats
+# within a section.
 
+_SECTIONS = ("tagset", "word_tag", "tag", "bigram", "trigram")
 _TERMINATOR = re.compile(r"count=([0-9]+)")
 _SENTINEL_OUT = {START: START_SERIALIZED, END: END_SERIALIZED}
 _SENTINEL_IN = {v: k for k, v in _SENTINEL_OUT.items()}
@@ -288,9 +290,13 @@ def load_model(source):
         if declared != len(records):
             raise CorruptSection(
                 f"section {name!r} declares {declared} records, found {len(records)}")
+        if name not in _SECTIONS:
+            raise CorruptSection(f"unknown section [{name}]")
+        if name in sections:
+            raise CorruptSection(f"repeated section [{name}]")
         sections[name] = records
 
-    for name in ("tagset", "word_tag", "tag", "bigram", "trigram"):
+    for name in _SECTIONS:
         if name not in sections:
             raise CorruptSection(f"missing section [{name}]")
 

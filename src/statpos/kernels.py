@@ -18,7 +18,8 @@ pinned to each tag (fwd leaves out the emission at i, which beta holds).
 
 Path reconstruction picks, at every step, the smallest tag index among the
 candidates that achieve the maximum (within TIE_TOL), so the returned
-sequence is the lexicographically smallest maximizer.
+sequence is the lexicographically smallest maximizer.  When every path scores
+-inf they all tie, and the path is all zeros.
 
 All inputs are float64 log-probability tables; tag indices follow the
 lexicographic ordering of the tag labels.
@@ -58,6 +59,9 @@ def _path(start, trans, beta):
     totals = start + beta[0, s]
     path = [_first_argmax(totals)]
     score = totals[path[0]]
+    if score == -np.inf:
+        # every path scores -inf, so all tie and the smallest is all zeros
+        return [0] * n, score
     s = s * T + path[0]
     for i in range(1, n):
         t = _first_argmax(rows[s] + beta[i, s % last])

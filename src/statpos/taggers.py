@@ -2,14 +2,16 @@
 
 Each method maximizes an explicit sequence objective in natural log space.
 The scalar p_* functions of the counts module are the reference for the
-paper's equations.  The log-probability tables that decoding reads are filled
-from them once per (model, smoothing) and kept with the model, each part on
-first use.  tag_sentence and decode_with_trace share one path: gather the
-sentence's rows, then take the first maximum of each row (unigram) or run
-the order's Viterbi kernel (bigram, hmm, trigram).  score_sequence and
-brute_force_decode recompute the objective from the p_* functions and serve
-as the independent oracle in the test suite.  Ties are always broken in
-favor of the lexicographically smallest tag tuple.
+paper's equations.  The log-probability tables that decoding reads are built
+once per (model, smoothing) and kept with the model, each part on first use:
+the transition tables of both orders by one numpy computation over count
+arrays, equal to the p_* values bit for bit, and the emission and lexical
+rows from the p_* functions.  tag_sentence and decode_with_trace share one
+path: gather the sentence's rows, then take the first maximum of each row
+(unigram) or run the order's Viterbi kernel (bigram, hmm, trigram).
+score_sequence and brute_force_decode recompute the objective from the p_*
+functions and serve as the independent oracle in the test suite.  Ties are
+always broken in favor of the lexicographically smallest tag tuple.
 """
 
 import itertools
@@ -86,46 +88,70 @@ def _unigram_lexical_prob(model, smoothing, word, tag):
 
 # --- log-probability tables for the kernels ---------------------------------
 
+def _transition_probs(model, smoothing, second_order):
+    """The sorted labels and the transition probabilities indexed by labels +
+    [START, END]: the smoothed bigram P[prev, tag], or for the second order
+    the interpolated trigram P[t2, t1, tag].  Computed from count arrays with
+    the operations of p_bigram_transition and p_trigram_transition in their
+    order, so each entry equals theirs bit for bit."""
+    labels = model.tagset.sorted_labels()
+    T = len(labels)
+    index = {t: i for i, t in enumerate(labels + [START, END])}
+    alpha = smoothing.alpha
+    unigram = np.zeros(T + 2)
+    for tag, n in model.tag_count.items():
+        unigram[index[tag]] = n
+    bigram = np.zeros((T + 2, T + 2))
+    for (a, b), n in model.tag_bigram_count.items():
+        bigram[index[a], index[b]] = n
+    # the divisions by a zero denominator are discarded by the np.where
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = (unigram + alpha * (len(model.tagset) + 1))[:, None]
+        p2 = np.where(denom > 0, (bigram + alpha) / denom, 0.0)
+        if not second_order:
+            return labels, p2
+        trigram = np.zeros((T + 2,) * 3)
+        for (a, b, c), n in model.tag_trigram_count.items():
+            trigram[index[a], index[b], index[c]] = n
+        # the (START, START) context never occurs as a bigram; its natural
+        # count is one per sentence, as in _raw_trigram_ratio
+        context = bigram.copy()
+        context[T, T] = unigram[T]
+        context = context[..., None]
+        p3 = np.where(context > 0, trigram / context, 0.0)
+    p1_denom = sum(model.tag_count.values()) + alpha * (len(model.tagset) + 2)
+    p1 = (unigram + alpha) / p1_denom if p1_denom > 0 else np.zeros(T + 2)
+    return labels, smoothing.lambda3 * p3 + smoothing.lambda2 * p2 + smoothing.lambda1 * p1
+
+
+def _log_table(p):
+    # math.log, not np.log, which differs from it in the last bit on some inputs
+    return np.array([_log(x) for x in p.ravel().tolist()]).reshape(p.shape)
+
+
 def transition_tables(model, smoothing):
     """First-order tables: start (T,), trans (T,T), end (T,) in log space,
     indexed by lexicographic tag order."""
-    labels = model.tagset.sorted_labels()
+    labels, p2 = _transition_probs(model, smoothing, second_order=False)
     T = len(labels)
-    start = np.empty(T)
-    end = np.empty(T)
-    trans = np.empty((T, T))
-    for j, t in enumerate(labels):
-        start[j] = _log(p_bigram_transition(model, START, t, smoothing))
-        end[j] = _log(p_bigram_transition(model, t, END, smoothing))
-        for k, u in enumerate(labels):
-            trans[j, k] = _log(p_bigram_transition(model, t, u, smoothing))
-    return labels, start, trans, end
+    return labels, _log_table(p2[T, :T]), _log_table(p2[:T, :T]), _log_table(p2[:T, T + 1])
 
 
 def trigram_tables(model, smoothing):
     """Second-order tables: start2 (T,), tri (T+1,T,T) with row T holding the
     START context, tri_end (T+1,T)."""
-    labels = model.tagset.sorted_labels()
+    labels, p = _transition_probs(model, smoothing, second_order=True)
     T = len(labels)
-    start2 = np.empty(T)
-    tri = np.empty((T + 1, T, T))
-    tri_end = np.empty((T + 1, T))
-    for j, b in enumerate(labels):
-        start2[j] = _log(p_trigram_transition(model, START, START, b, smoothing))
-    for i, a in enumerate(labels + [START]):
-        for j, b in enumerate(labels):
-            tri_end[i, j] = _log(p_trigram_transition(model, a, b, END, smoothing))
-            for k, c in enumerate(labels):
-                tri[i, j, k] = _log(p_trigram_transition(model, a, b, c, smoothing))
-    return labels, start2, tri, tri_end
+    return (labels, _log_table(p[T, T, :T]), _log_table(p[:T + 1, :T, :T]),
+            _log_table(p[:T + 1, :T, T + 1]))
 
 
 # --- the tables of one (model, smoothing) and the one decoding path ---------
 
 class _Tables:
     """The tables of one (model, smoothing), each part built on first use by
-    the reference functions above: the transition tables of one order, and
-    per word one P(tag | word) row and one log-emission row, with one of each
+    the functions above: the transition tables of one order, and per word
+    one P(tag | word) row and one log-emission row, with one of each
     shared by every unknown word.  The model holds these in `_tables`; they
     hold no reference back to it, so they are freed with the model."""
 

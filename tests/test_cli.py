@@ -201,8 +201,10 @@ class TestBadModel:
         ("\nb\tVM\t1\n", "\nb\tZZZ\t1\n"),
         ("\nb\tVM\t1\n", "\nb\tVM\t\u00b2\n"),
         ("\nNN\tVM\t</S>\t1\n", "\n</S>\tVM\t</S>\t1\n"),
+        ("\n[word_tag]\n", "\n[word_tag]\ncount=0\n[word_tag]\n"),
+        ("\n[tag]\n", "\n[junk]\nx\t1\ncount=1\n[tag]\n"),
     ], ids=["tag-section", "bigram-section", "foreign-tag", "count-not-ascii",
-            "sentinel-out-of-place"])
+            "sentinel-out-of-place", "repeated-section", "unknown-section"])
     def test_rejected(self, model_path, tmp_path, capsys, old, new):
         text = model_path.read_text(encoding="utf-8")
         assert old in text

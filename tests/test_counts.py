@@ -436,6 +436,14 @@ class TestModelConsistency:
         with pytest.raises(CorruptSection, match="sentinel out of place"):
             load_model(io.StringIO(text))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("[word_tag]\n", "[word_tag]\ncount=0\n[word_tag]\n", "repeated section"),
+        ("[tag]\n", "[junk]\nx\t1\ncount=1\n[tag]\n", "unknown section"),
+    ], ids=["repeated", "unknown"])
+    def test_section_outside_the_format(self, old, new, message):
+        with pytest.raises(CorruptSection, match=message):
+            load_model(edit_model(old, new))
+
     def test_tagset_record_with_extra_fields(self):
         with pytest.raises(CorruptSection, match="bad record"):
             load_model(edit_model("[tagset]\nNN\n", "[tagset]\nNN\tJJ\t7\n"))

@@ -69,11 +69,8 @@ def test_max_marginals_with_zero_probability_emission(order):
         assert (marginal_path, marginal_score) == (path, score)
         scores = {p: score_of(p, *tables) for p in itertools.product(range(T), repeat=n)}
         best = max(scores.values())
-        # enumeration runs in lexicographic order.  When every path scores
-        # -inf they all tie, and the kernel returns one of them but not
-        # necessarily the smallest.
-        if best > -np.inf:
-            assert tuple(path) == next(p for p, s in scores.items() if s >= best - TIE_TOL)
+        # enumeration runs in lexicographic order
+        assert tuple(path) == next(p for p, s in scores.items() if s >= best - TIE_TOL)
         expected = np.full((n, T), -np.inf)
         for p, s in scores.items():
             for i, t in enumerate(p):

@@ -1,8 +1,10 @@
 import gc
+import itertools
 import math
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from statpos import (
@@ -12,14 +14,18 @@ from statpos import (
     brute_force_decode,
     build_counts,
     decode_with_trace,
+    default_tagset,
+    p_bigram_transition,
+    p_trigram_transition,
     score_sequence,
     tag_sentence,
 )
-from statpos import kernels, taggers
+from statpos import counts, kernels, taggers
 from statpos.errors import EmptySentence, InstanceTooLarge, LengthMismatch, UnknownTag
+from statpos.tagset import END, START
 
 from conftest import model_from
-from randgen import make_rng, random_model, random_sentence
+from randgen import WORD_POOL, make_rng, random_model, random_sentence
 
 DP_METHODS = ("bigram", "trigram", "hmm")
 RAW = SmoothingConfig(alpha=0.0, lambda3=1.0, lambda2=0.0, lambda1=0.0)
@@ -130,6 +136,17 @@ class TestDecoders:
         m = model_from(["a/NN"], small_tagset)
         with pytest.raises(EmptySentence):
             tag_sentence([], m, cfg(method))
+
+    @pytest.mark.parametrize("method", DP_METHODS)
+    def test_every_path_impossible(self, method):
+        # unsmoothed, "b" is only VM and VM never opens a sentence, so every
+        # path scores -inf; all tie and the smallest sequence wins
+        m = model_from(["a/NN b/VM b/VM", "c/JJ b/VM"], Tagset(["JJ", "NN", "VM"]))
+        c = cfg(method, RAW)
+        expected = [("b", "JJ"), ("b", "JJ")]
+        assert brute_force_decode(["b", "b"], m, c) == expected
+        assert tag_sentence(["b", "b"], m, c) == expected
+        assert decode_with_trace(["b", "b"], m, c)[0] == expected
 
 
 class TestContextSensitivityFixture:
@@ -257,9 +274,68 @@ class TestTraceDecodeParity:
 
 
 
+def scalar_tables(model, smoothing):
+    """Both orders' transition tables filled cell by cell from the p_*
+    reference functions: the oracle for the count-array build."""
+    labels = model.tagset.sorted_labels()
+
+    def logs(p, *axes):
+        cells = [taggers._log(p(model, *key, smoothing)) for key in itertools.product(*axes)]
+        return np.array(cells).reshape([len(axis) for axis in axes])
+
+    contexts = labels + [START]
+    first = (logs(p_bigram_transition, [START], labels)[0],
+             logs(p_bigram_transition, labels, labels),
+             logs(p_bigram_transition, labels, [END])[:, 0])
+    second = (logs(p_trigram_transition, [START], [START], labels)[0, 0],
+              logs(p_trigram_transition, contexts, labels, labels),
+              logs(p_trigram_transition, contexts, labels, [END])[..., 0])
+    return first, second
+
+
 class TestTables:
     """The tables belong to (model, smoothing): built once, kept apart per
-    smoothing, and freed with the model."""
+    smoothing, and freed with the model.  The transition tables equal the
+    p_* functions' values bit for bit."""
+
+    SMOOTHINGS = (SmoothingConfig(), RAW,
+                  SmoothingConfig(alpha=0.37, lambda3=0.2, lambda2=0.5, lambda1=0.3))
+
+    def test_transition_tables_equal_the_reference(self):
+        rng = make_rng(13)
+        models = [random_model(rng)[0] for _ in range(200)]
+        tagset = default_tagset()
+        for _ in range(2):
+            # the paper's tagset, most of whose tags and contexts go unseen
+            corpus = [[(rng.choice(WORD_POOL), rng.choice(tagset.sorted_labels()))
+                       for _ in range(rng.randint(1, 12))] for _ in range(40)]
+            models.append(build_counts(corpus, tagset))
+        seen = Counter()
+        for model in models:
+            labels = model.tagset.sorted_labels()
+            seen["zero-count tag"] += any(t not in model.tag_count for t in labels)
+            seen["unseen context"] += any((a, b) not in model.tag_bigram_count
+                                          for a in labels for b in labels)
+            forced = SmoothingConfig(unknown_policy=labels[-1])
+            for smoothing in self.SMOOTHINGS + (forced,):
+                first, second = scalar_tables(model, smoothing)
+                for got, expected in ((taggers.transition_tables(model, smoothing), first),
+                                      (taggers.trigram_tables(model, smoothing), second)):
+                    assert got[0] == labels
+                    for table, reference in zip(got[1:], expected):
+                        assert np.array_equal(table, reference)
+        assert seen["zero-count tag"] > 10 and seen["unseen context"] > 10
+
+    def test_tables_make_no_scalar_transition_calls(self, monkeypatch):
+        names = ("p_bigram_transition", "p_trigram_transition")
+        calls = [count_calls(monkeypatch, owner, names) for owner in (taggers, counts)]
+        model, _ = random_model(make_rng(5))
+        for smoothing in self.SMOOTHINGS:
+            taggers.transition_tables(model, smoothing)
+            taggers.trigram_tables(model, smoothing)
+            for method in DP_METHODS:
+                tag_sentence(["a", "oov1", "c"], model, cfg(method, smoothing))
+        assert calls == [{}, {}]
 
     @pytest.mark.parametrize("method,table", [("unigram", None),
                                               ("bigram", "transition_tables"),
