@@ -8,7 +8,7 @@ from . import corpus as corpus_io
 from . import counts as counts_mod
 from . import evaluation, taggers
 from .counts import SmoothingConfig, UNIFORM_OPEN_CLASS
-from .errors import EmptyCorpus, StatposError, UnknownTag, UnknownWord, text_file
+from .errors import EmptyCorpus, StatposError, UnknownWord, text_file
 from .tagset import Tagset, default_tagset
 
 
@@ -27,8 +27,7 @@ def _smoothing_from(args, tagset):
     except ValueError:
         raise StatposError(f"bad --lambdas value {args.lambdas!r}")
     policy = UNIFORM_OPEN_CLASS if args.unknown_policy == "open-class" else args.unknown_policy
-    if policy != UNIFORM_OPEN_CLASS and policy not in tagset:
-        raise UnknownTag(policy)
+    counts_mod.check_unknown_policy(policy, tagset)
     return SmoothingConfig(alpha=args.alpha, lambda3=l3, lambda2=l2, lambda1=l1,
                            unknown_policy=policy)
 

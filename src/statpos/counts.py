@@ -32,8 +32,9 @@ from .tagset import (
     Tagset,
 )
 
-MODEL_HEADER = "NGRAM-POS-MODEL v1"
 MODEL_VERSION = "1"
+_HEADER_PREFIX = "NGRAM-POS-MODEL v"
+MODEL_HEADER = _HEADER_PREFIX + MODEL_VERSION
 
 UNIFORM_OPEN_CLASS = "uniform-open-class"
 
@@ -64,6 +65,13 @@ class SmoothingConfig:
         if abs(sum(lambdas) - 1.0) > 1e-9:
             raise InvalidConfig(f"interpolation weights must sum to 1, got {sum(lambdas)}")
         object.__setattr__(self, "open_class_tags", frozenset(self.open_class_tags))
+
+
+def check_unknown_policy(policy, tagset):
+    """Raise UnknownTag unless the unknown-word policy is UNIFORM_OPEN_CLASS
+    or a label of the tagset."""
+    if policy != UNIFORM_OPEN_CLASS and policy not in tagset:
+        raise UnknownTag(policy)
 
 
 class CountsModel:
@@ -268,11 +276,11 @@ def load_model(source):
     if not lines:
         raise CorruptSection("empty model file")
     header = lines[0]
-    if not header.startswith("NGRAM-POS-MODEL"):
+    if header != MODEL_HEADER:
+        if header.startswith(_HEADER_PREFIX):
+            version = header[len(_HEADER_PREFIX):]
+            raise FormatVersionMismatch(f"unsupported model version {version!r}")
         raise CorruptSection(f"bad header {header!r}")
-    version = header.rsplit("v", 1)[-1]
-    if version != MODEL_VERSION:
-        raise FormatVersionMismatch(f"unsupported model version {version!r}")
 
     sections = {}
     rest = iter(lines[1:])

@@ -2,16 +2,17 @@
 
 Each method maximizes an explicit sequence objective in natural log space.
 The scalar p_* functions of the counts module are the reference for the
-paper's equations.  The log-probability tables that decoding reads are built
-once per (model, smoothing) and kept with the model, each part on first use:
-the transition tables of both orders by one numpy computation over count
-arrays, equal to the p_* values bit for bit, and the emission and lexical
-rows from the p_* functions.  tag_sentence and decode_with_trace share one
-path: gather the sentence's rows, then take the first maximum of each row
-(unigram) or run the order's Viterbi kernel (bigram, hmm, trigram).
-score_sequence and brute_force_decode recompute the objective from the p_*
-functions and serve as the independent oracle in the test suite.  Ties are
-always broken in favor of the lexicographically smallest tag tuple.
+paper's equations.  Decoding reads one dict of tables per (model, smoothing),
+kept with the model and filled on first use: per method, the tables its
+kernel reads (the transitions of both orders from one numpy computation over
+count arrays, equal to the p_* values bit for bit; for hmm the doubled
+interior, built once), and one float64 row per row kind and word, shared by
+every unknown word.  tag_sentence and decode_with_trace share one path: stack
+the sentence's rows, then take the first maximum of each row (unigram) or run
+the order's Viterbi kernel (bigram, hmm, trigram).  score_sequence and
+brute_force_decode recompute the objective from the p_* functions and serve
+as the independent oracle in the test suite.  Ties are always broken in favor
+of the lexicographically smallest tag tuple.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from . import kernels
 from .counts import (
     SmoothingConfig,
     UNIFORM_OPEN_CLASS,
+    check_unknown_policy,
     p_bigram_transition,
     p_tag_given_word,
     p_trigram_transition,
@@ -63,9 +65,11 @@ def _log(p):
     return math.log(p) if p > 0 else NEG_INF
 
 
-def _unknown_lexical_prob(model, smoothing, tag):
-    """Lexical distribution the unigram method uses for out-of-vocabulary
-    words; its argmax is the policy's tag choice."""
+def _unigram_lexical_prob(model, smoothing, word, tag):
+    """P(tag | word), or for an out-of-vocabulary word the distribution whose
+    argmax is the unknown-word policy's tag choice."""
+    if word in model.vocabulary:
+        return p_tag_given_word(model, word, tag)
     alpha = smoothing.alpha
     if smoothing.unknown_policy == UNIFORM_OPEN_CLASS:
         denom = (sum(model.tag_count.get(t, 0) for t in smoothing.open_class_tags)
@@ -80,10 +84,8 @@ def _unknown_lexical_prob(model, smoothing, tag):
     return alpha / (1.0 + alpha * len(model.tagset))
 
 
-def _unigram_lexical_prob(model, smoothing, word, tag):
-    if word in model.vocabulary:
-        return p_tag_given_word(model, word, tag)
-    return _unknown_lexical_prob(model, smoothing, tag)
+def _log_emission(model, smoothing, word, tag):
+    return _log(p_word_given_tag(model, word, tag, smoothing))
 
 
 # --- log-probability tables for the kernels ---------------------------------
@@ -125,8 +127,10 @@ def _transition_probs(model, smoothing, second_order):
 
 
 def _log_table(p):
-    # math.log, not np.log, which differs from it in the last bit on some inputs
-    return np.array([_log(x) for x in p.ravel().tolist()]).reshape(p.shape)
+    # math.log, not np.log, which differs from it in the last bit on some
+    # inputs; taken once per distinct value, since many cells repeat
+    values, inverse = np.unique(p, return_inverse=True)
+    return np.array([_log(x) for x in values.tolist()])[inverse].reshape(p.shape)
 
 
 def transition_tables(model, smoothing):
@@ -148,81 +152,62 @@ def trigram_tables(model, smoothing):
 
 # --- the tables of one (model, smoothing) and the one decoding path ---------
 
-class _Tables:
-    """The tables of one (model, smoothing), each part built on first use by
-    the functions above: the transition tables of one order, and per word
-    one P(tag | word) row and one log-emission row, with one of each
-    shared by every unknown word.  The model holds these in `_tables`; they
-    hold no reference back to it, so they are freed with the model."""
-
-    def __init__(self, model, smoothing):
-        self.smoothing = smoothing
-        self.labels = model.tagset.sorted_labels()
-        self.lexical = {}   # word, or None for unknown words -> P(tag | word) list
-        self.emit = {}      # word, or None for unknown words -> log P(word | tag) row
-        self.first = self.second = None
-
-    def rows(self, model, sentence, lexical):
-        """The sentence's P(tag | word) rows (lexical) or log-emission rows."""
-        rows = []
-        cache = self.lexical if lexical else self.emit
-        for word in sentence:
-            key = word if word in model.vocabulary else None
-            row = cache.get(key)
-            if row is None:
-                if lexical:
-                    row = [_unigram_lexical_prob(model, self.smoothing, word, t)
-                           for t in self.labels]
-                else:
-                    row = np.array([_log(p_word_given_tag(model, word, t, self.smoothing))
-                                    for t in self.labels])
-                cache[key] = row
-            rows.append(row)
-        return rows
-
-    def transitions(self, model, method):
-        """(start, trans, end), with doubled interior transitions for hmm, or
-        (start2, tri, tri_end) for trigram."""
-        if method == "trigram":
-            if self.second is None:
-                self.second = trigram_tables(model, self.smoothing)[1:]
-            return self.second
-        if self.first is None:
-            self.first = transition_tables(model, self.smoothing)[1:]
-        start, trans, end = self.first
-        return (start, 2.0 * trans, end) if method == "hmm" else self.first
+def _rows(model, smoothing, tables, sentence, prob):
+    """The sentence's rows of prob over the labels, stacked; tables[prob]
+    keeps each word's row, under None for every unknown word."""
+    labels = tables["labels"]
+    cache = tables.setdefault(prob, {})
+    rows = []
+    for word in sentence:
+        key = word if word in model.vocabulary else None
+        row = cache.get(key)
+        if row is None:
+            row = cache[key] = np.array([prob(model, smoothing, word, t) for t in labels])
+        rows.append(row)
+    return np.concatenate(rows).reshape(len(rows), len(labels))
 
 
 def _decode(sentence, model, config, traced):
     """The tagged sentence and, when traced, its DecodeTrace."""
     if not sentence:
         raise EmptySentence()
-    tables = model._tables.get(config.smoothing)
+    smoothing, method = config.smoothing, config.method
+    # the tables hold no reference to the model, so they are freed with it
+    tables = model._tables.get(smoothing)
     if tables is None:
-        tables = model._tables[config.smoothing] = _Tables(model, config.smoothing)
-    if config.method == "unigram":
-        rows = tables.rows(model, sentence, lexical=True)
-        # the first maximum of the probability, not of its log: math.log can
-        # map two distinct tiny probabilities to one double
-        path = [row.index(max(row)) for row in rows]
+        check_unknown_policy(smoothing.unknown_policy, model.tagset)
+        tables = model._tables[smoothing] = {"labels": model.tagset.sorted_labels()}
+    labels = tables["labels"]
+    if method == "unigram":
+        probs = _rows(model, smoothing, tables, sentence, _unigram_lexical_prob)
+        # the first maximum of the probability, not of its log, which can tie
+        # two distinct tiny ones; if a word is impossible under every tag,
+        # all sequences tie at -inf and the smallest, all zeros, wins
+        possible = probs.any(axis=1).all()
+        path = probs.argmax(axis=1).tolist() if possible else [0] * len(sentence)
         if traced:
             # positions are independent: pin tag t at i, the optimum elsewhere
-            logs = np.array([[_log(p) for p in row] for row in rows])
+            logs = _log_table(probs)
             best = logs.max(axis=1)
             score = sum(best.tolist())
-            margins = logs + (score - best)[:, None]
+            margins = logs + (score - best)[:, None] if possible else np.full_like(logs, NEG_INF)
     else:
-        order = "trigram" if config.method == "trigram" else "bigram"
-        args = (np.array(tables.rows(model, sentence, lexical=False)),
-                *tables.transitions(model, config.method))
+        if method not in tables:
+            if method == "trigram":
+                tables[method] = trigram_tables(model, smoothing)[1:]
+            else:
+                start, trans, end = transition_tables(model, smoothing)[1:]
+                tables[method] = start, (2.0 * trans if method == "hmm" else trans), end
+        args = (_rows(model, smoothing, tables, sentence, _log_emission), *tables[method])
         if traced:
             path, score, margins = kernels.max_marginals(*args)
         else:
+            order = "trigram" if method == "trigram" else "bigram"
             path, _ = getattr(kernels, f"viterbi_{order}")(*args)
-    tagged = [(w, tables.labels[j]) for w, j in zip(sentence, path)]
+    tagged = [(w, labels[j]) for w, j in zip(sentence, path)]
     if not traced:
         return tagged, None
-    positions = [dict(zip(tables.labels, row)) for row in margins.tolist()]
+    positions = [dict(zip(labels, row)) for row in margins.tolist()]
     return tagged, DecodeTrace(positions, float(score))
 
 
@@ -252,8 +237,7 @@ def score_sequence(sentence, tags, model, config):
         return sum(_log(_unigram_lexical_prob(model, smoothing, w, t))
                    for w, t in zip(sentence, tags))
 
-    emit = sum(_log(p_word_given_tag(model, w, t, smoothing))
-               for w, t in zip(sentence, tags))
+    emit = sum(_log_emission(model, smoothing, w, t) for w, t in zip(sentence, tags))
     if config.method == "bigram":
         prev = START
         score = emit

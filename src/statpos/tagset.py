@@ -64,9 +64,6 @@ class Tagset:
     def __len__(self):
         return len(self.tags)
 
-    def __eq__(self, other):
-        return isinstance(other, Tagset) and self.tags == other.tags
-
     def sorted_labels(self):
         """Labels in lexicographic order; the canonical tie-break ordering."""
         return sorted(self.tags)

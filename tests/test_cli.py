@@ -203,8 +203,11 @@ class TestBadModel:
         ("\nNN\tVM\t</S>\t1\n", "\n</S>\tVM\t</S>\t1\n"),
         ("\n[word_tag]\n", "\n[word_tag]\ncount=0\n[word_tag]\n"),
         ("\n[tag]\n", "\n[junk]\nx\t1\ncount=1\n[tag]\n"),
+        ("NGRAM-POS-MODEL v1\n", "NGRAM-POS-MODEL-junk-v1\n"),
+        ("NGRAM-POS-MODEL v1\n", "NGRAM-POS-MODEL v2\n"),
     ], ids=["tag-section", "bigram-section", "foreign-tag", "count-not-ascii",
-            "sentinel-out-of-place", "repeated-section", "unknown-section"])
+            "sentinel-out-of-place", "repeated-section", "unknown-section", "bad-header",
+            "other-version"])
     def test_rejected(self, model_path, tmp_path, capsys, old, new):
         text = model_path.read_text(encoding="utf-8")
         assert old in text
@@ -311,6 +314,12 @@ class TestProbe:
         assert "a/NN b/VM" in out
         assert "path_score" in out
 
+    def test_lex_unknown_word(self, model_path, capsys):
+        code, out, err = run(capsys, ["probe", "--model", str(model_path), "lex", "zzz"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown word 'zzz'\n"
+
     def test_unknown_query_form(self, model_path, capsys):
         code, _, err = run(capsys, ["probe", "--model", str(model_path), "bogus"])
         assert code == 1
@@ -398,8 +407,10 @@ class TestBadSettings:
         ["--alpha", "inf"],
         ["--lambdas", "0.5,0.5,0.5"],
         ["--lambdas", "nan,0,1"],
+        ["--lambdas", "1,0"],
+        ["--lambdas", "a,b,c"],
     ], ids=["policy-FOO", "alpha-negative", "alpha-nan", "alpha-inf", "lambdas-sum",
-            "lambdas-nan"])
+            "lambdas-nan", "lambdas-two", "lambdas-not-numbers"])
     @pytest.mark.parametrize("command", ["tag", "eval", "probe"])
     def test_rejected(self, model_path, tmp_path, capsys, command, flags):
         src = tmp_path / "in.txt"

@@ -142,6 +142,10 @@ class TestTagset:
         with pytest.raises(InvalidTagLabel):
             Tagset(["NN", label])
 
+    def test_empty_label_rejected(self):
+        with pytest.raises(InvalidTagLabel, match="empty tag label"):
+            Tagset([""])
+
     def test_duplicates_rejected(self):
         with pytest.raises(InvalidTagLabel):
             Tagset(["NN", "NN"])

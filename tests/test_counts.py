@@ -439,7 +439,9 @@ class TestModelConsistency:
     @pytest.mark.parametrize("old, new, message", [
         ("[word_tag]\n", "[word_tag]\ncount=0\n[word_tag]\n", "repeated section"),
         ("[tag]\n", "[junk]\nx\t1\ncount=1\n[tag]\n", "unknown section"),
-    ], ids=["repeated", "unknown"])
+        ("count=2\n[word_tag]\n", "count=2\nNN\n[word_tag]\n", "expected section header"),
+        (GOLDEN_MODEL[GOLDEN_MODEL.index("[trigram]"):], "", r"missing section \[trigram\]"),
+    ], ids=["repeated", "unknown", "record-before-header", "missing"])
     def test_section_outside_the_format(self, old, new, message):
         with pytest.raises(CorruptSection, match=message):
             load_model(edit_model(old, new))
@@ -464,6 +466,22 @@ class TestModelConsistency:
     def test_count_not_ascii_digits(self, count):
         with pytest.raises(CorruptSection, match="bad record"):
             load_model(edit_model("a\tNN\t1", f"a\tNN\t{count}"))
+
+    @pytest.mark.parametrize("header, error, message", [
+        ("NGRAM-POS-MODEL-junk-v1", CorruptSection, "bad header"),
+        ("NGRAM-POS-MODELv1", CorruptSection, "bad header"),
+        ("ngram-pos-model v1", CorruptSection, "bad header"),
+        ("NGRAM-POS-MODEL v2", FormatVersionMismatch, "'2'"),
+        ("NGRAM-POS-MODEL v1.0", FormatVersionMismatch, "'1.0'"),
+        ("NGRAM-POS-MODEL v1 ", FormatVersionMismatch, "'1 '"),
+    ], ids=["junk-before-version", "no-space", "lower-case", "v2", "v1.0", "trailing-space"])
+    def test_header_other_than_v1(self, header, error, message):
+        with pytest.raises(error, match=message):
+            load_model(edit_model("NGRAM-POS-MODEL v1\n", header + "\n"))
+
+    def test_empty_file(self):
+        with pytest.raises(CorruptSection, match="empty model file"):
+            load_model(io.StringIO(""))
 
 
 class TestSmoothingConfig:

@@ -47,6 +47,11 @@ class TestEvaluate:
         assert report.accuracy_percent == 0.0
         assert report.confusion == {("NN", "VM"): 4}
 
+    def test_empty_corpus(self):
+        report = evaluate([], [])
+        assert report.total_tokens == report.correct_tokens == 0
+        assert report.accuracy_percent == 0.0
+
     def test_three_of_four(self):
         gold = [sent("a/NN b/VM c/JJ d/QC")]
         pred = [sent("a/NN b/VM c/JJ d/NN")]

@@ -72,6 +72,23 @@ class TestUnigram:
         c = cfg("unigram", SmoothingConfig(unknown_policy="QC"))
         assert tag_sentence(["oov"], m, c) == [("oov", "QC")]
 
+    @pytest.mark.parametrize("words", [["zzz"], ["a", "zzz"], ["zzz", "b", "zzz"]],
+                             ids=["alone", "after-a-known-word", "twice"])
+    def test_unknown_word_without_open_class_counts(self, words):
+        # unsmoothed, and no open-class tag was ever seen: an unknown word has
+        # probability 0 under every tag, so every sequence scores -inf, all
+        # tie and the smallest wins
+        m = model_from(["a/PSP b/CC"], Tagset(["CC", "NN", "PSP"]))
+        c = cfg("unigram", RAW)
+        expected = [(w, "CC") for w in words]
+        assert brute_force_decode(words, m, c) == expected
+        assert tag_sentence(words, m, c) == expected
+        # NaN margins would warn, and any warning fails a test (pyproject.toml)
+        tagged, trace = decode_with_trace(words, m, c)
+        assert tagged == expected
+        assert trace.path_score == -math.inf
+        assert all(s == -math.inf for pos in trace.positions for s in pos.values())
+
     def test_permutation_equivariance(self, small_tagset):
         m = model_from(["x/NN y/VM z/JJ", "x/NN w/QC"], small_tagset)
         fwd = tag_sentence(["x", "y", "z"], m, cfg("unigram"))
@@ -371,6 +388,37 @@ class TestTables:
             words = ["x", "oov", "z"]
             assert (tag_sentence(words, m, cfg(method, as_set))
                     == tag_sentence(words, m, cfg(method, frozen)))
+
+    def test_hmm_doubles_the_transitions_once(self, monkeypatch):
+        seen = []
+        viterbi = kernels.viterbi_bigram
+
+        def recording(emit, start, trans, end):
+            seen.append(trans)
+            return viterbi(emit, start, trans, end)
+
+        monkeypatch.setattr(kernels, "viterbi_bigram", recording)
+        model, _ = random_model(make_rng(5))
+        tag_sentence(["a", "b", "c"], model, cfg("hmm"))
+        tag_sentence(["c", "oov1"], model, cfg("hmm"))
+        assert len(seen) == 2 and seen[0] is seen[1]
+        first = taggers.transition_tables(model, SmoothingConfig())[2]
+        assert np.array_equal(seen[0], 2.0 * first)
+
+    @pytest.mark.parametrize("method", ("unigram",) + DP_METHODS)
+    def test_unknown_policy_outside_the_tagset(self, method, monkeypatch):
+        calls = count_calls(monkeypatch, taggers, ("check_unknown_policy",))
+        m = model_from(["a/JJ b/NN", "b/VM"], Tagset(["JJ", "NN", "VM"]))
+        c = cfg(method, SmoothingConfig(unknown_policy="QQ"))
+        for decode in (tag_sentence, decode_with_trace):
+            with pytest.raises(UnknownTag, match="QQ"):
+                decode(["zzz", "b"], m, c)
+        assert m._tables == {}
+        # a policy that is a tag is checked once per (model, smoothing)
+        c = cfg(method, SmoothingConfig(unknown_policy="VM"))
+        tag_sentence(["zzz", "b"], m, c)
+        decode_with_trace(["b", "zzz"], m, c)
+        assert calls == {"check_unknown_policy": 3}
 
     @pytest.mark.parametrize("method", ("unigram",) + DP_METHODS)
     def test_freed_with_model(self, method):
