@@ -19,7 +19,9 @@ pinned to each tag (fwd leaves out the emission at i, which beta holds).
 Path reconstruction picks, at every step, the smallest tag index among the
 candidates that achieve the maximum (within TIE_TOL), so the returned
 sequence is the lexicographically smallest maximizer.  When every path scores
--inf they all tie, and the path is all zeros.
+-inf they all tie, and the path is all zeros.  The first order takes all
+backpointers in one whole-array step, in blocks of BLOCK_CELLS candidates; the
+second order, with T times the candidates, walks step by step.
 
 All inputs are float64 log-probability tables; tag indices follow the
 lexicographic ordering of the tag labels.
@@ -32,6 +34,9 @@ import numpy as np
 # order drift by ~1e-13; genuinely distinct paths differ by far more.
 TIE_TOL = 1e-10
 
+# Most candidates the first-order path walk holds at once (2 MB of float64).
+BLOCK_CELLS = 1 << 18
+
 
 def _first_argmax(values):
     return int(np.argmax(values >= np.max(values) - TIE_TOL))
@@ -41,19 +46,16 @@ def _backward(emit, trans, end):
     n, T = emit.shape
     beta = np.empty((n,) + end.shape)
     beta[n - 1] = emit[n - 1] + end
+    cand = np.empty(trans.shape)
     for i in range(n - 2, -1, -1):
         # max over the next tag c of trans[state, c] + beta[i+1] at the state c leads to
-        beta[i] = emit[i] + np.max(trans + beta[i + 1, :T], axis=-1)
+        np.add(trans, beta[i + 1, :T], out=cand)
+        np.add(emit[i], cand.max(axis=-1), out=beta[i])
     return beta
 
 
 def _path(start, trans, beta):
     n, T = beta.shape[0], beta.shape[-1]
-    # States are integers: row s of `rows` is trans at state s, and s % last
-    # is the context that the next state keeps (the current tag of a pair
-    # state, 0 for the bigram, whose beta has a single context).
-    rows = trans.reshape(-1, T)
-    last = T ** (trans.ndim - 2)
     beta = beta.reshape(n, -1, T)
     s = beta.shape[1] - 1       # the START context
     totals = start + beta[0, s]
@@ -62,11 +64,23 @@ def _path(start, trans, beta):
     if score == -np.inf:
         # every path scores -inf, so all tie and the smallest is all zeros
         return [0] * n, score
+    if trans.ndim == 2:
+        # bp[k, s] is the first best tag at position lo + k after tag s
+        step = max(1, BLOCK_CELLS // T ** 2)
+        for lo in range(1, n, step):
+            cand = trans + beta[lo:lo + step]
+            bp = (cand >= cand.max(axis=2, keepdims=True) - TIE_TOL).argmax(axis=2)
+            for row in bp.tolist():
+                path.append(row[path[-1]])
+        return path, score
+    # The pair state s = previous tag * T + current tag is a row of `rows`,
+    # and s % T, its current tag, is the context the next state keeps.
+    rows = trans.reshape(-1, T)
     s = s * T + path[0]
     for i in range(1, n):
-        t = _first_argmax(rows[s] + beta[i, s % last])
+        t = _first_argmax(rows[s] + beta[i, s % T])
         path.append(t)
-        s = (s % last) * T + t
+        s = (s % T) * T + t
     return path, score
 
 

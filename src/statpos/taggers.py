@@ -196,8 +196,8 @@ def _decode(sentence, model, config, traced):
             if method == "trigram":
                 tables[method] = trigram_tables(model, smoothing)[1:]
             else:
-                start, trans, end = transition_tables(model, smoothing)[1:]
-                tables[method] = start, (2.0 * trans if method == "hmm" else trans), end
+                start, trans, end = tables["bigram"] = transition_tables(model, smoothing)[1:]
+                tables["hmm"] = start, 2.0 * trans, end
         args = (_rows(model, smoothing, tables, sentence, _log_emission), *tables[method])
         if traced:
             path, score, margins = kernels.max_marginals(*args)
@@ -229,6 +229,7 @@ def score_sequence(sentence, tags, model, config):
     exactly what the matching decoder maximizes."""
     if len(tags) != len(sentence):
         raise LengthMismatch()
+    check_unknown_policy(config.smoothing.unknown_policy, model.tagset)
     for t in tags:
         if t not in model.tagset:
             raise UnknownTag(t)

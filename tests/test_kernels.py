@@ -79,3 +79,56 @@ def test_max_marginals_with_zero_probability_emission(order):
         assert np.array_equal(np.isneginf(margins), np.isneginf(expected))
         finite = np.isfinite(expected)
         assert np.allclose(margins[finite], expected[finite], rtol=1e-12, atol=0)
+
+
+def _stepwise_kernel(emit, start, trans, end):
+    """Reference for viterbi and max_marginals: a fresh candidate array per
+    backward position and one _first_argmax per path position, for either
+    order; returns the path, its score and the margins."""
+    n, T = emit.shape
+    beta = np.empty((n,) + end.shape)
+    beta[n - 1] = emit[n - 1] + end
+    for i in range(n - 2, -1, -1):
+        beta[i] = emit[i] + np.max(trans + beta[i + 1, :T], axis=-1)
+    rows, last = trans.reshape(-1, T), T ** (trans.ndim - 2)
+    states = beta.reshape(n, -1, T)
+    s = states.shape[1] - 1
+    totals = start + states[0, s]
+    path = [_first_argmax(totals)]
+    score = totals[path[0]]
+    if score == -np.inf:
+        path = [0] * n
+    else:
+        s = s * T + path[0]
+        for i in range(1, n):
+            t = _first_argmax(rows[s] + states[i, s % last])
+            path.append(t)
+            s = (s % last) * T + t
+    fwd = np.full(beta.shape, -np.inf)
+    fwd[0].reshape(-1, T)[-1] = start
+    for i in range(1, n):
+        fwd[i][:T] = np.max((fwd[i - 1] + emit[i - 1])[..., None] + trans, axis=0)
+    return path, score, (fwd + beta).reshape(n, -1, T).max(axis=1)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 50])
+@pytest.mark.parametrize("order", ["bigram", "trigram"])
+def test_long_sentences_match_the_stepwise_walk(order, block, monkeypatch):
+    # Up to 500 words and 8 tags, logs rounded to 0.1 for exact ties and 15%
+    # -inf entries; small blocks make the first-order walk cross block
+    # boundaries.  Paths, scores and margins must be bit-identical.
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_CELLS", block)
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        n, T = int(rng.integers(1, 501)), int(rng.integers(1, 9))
+        shapes = ([(n, T), (T,), (T, T), (T,)] if order == "bigram"
+                  else [(n, T), (T,), (T + 1, T, T), (T + 1, T)])
+        tables = [np.round(np.log(rng.uniform(0.1, 1.0, shape)), 1) for shape in shapes]
+        for table in tables:
+            table[rng.uniform(size=table.shape) < 0.15] = -np.inf
+        path, score, margins = _stepwise_kernel(*tables)
+        assert kernels.viterbi(*tables) == (path, score)
+        marginal_path, marginal_score, marginal_margins = kernels.max_marginals(*tables)
+        assert (marginal_path, marginal_score) == (path, score)
+        assert np.array_equal(marginal_margins, margins)

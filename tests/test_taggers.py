@@ -225,6 +225,14 @@ class TestScoreSequence:
         m = model_from(["a/NN b/VM"], small_tagset)
         assert score_sequence(["a", "b"], ["VM", "NN"], m, cfg("bigram", RAW)) == -math.inf
 
+    @pytest.mark.parametrize("method", ("unigram",) + DP_METHODS)
+    def test_unknown_policy_outside_the_tagset(self, method):
+        # the oracle rejects what tag_sentence rejects
+        m = model_from(["a/JJ b/NN", "b/VM"], Tagset(["JJ", "NN", "VM"]))
+        with pytest.raises(UnknownTag, match="QQ"):
+            score_sequence(["zzz", "b"], ["NN", "VM"], m,
+                           cfg(method, SmoothingConfig(unknown_policy="QQ")))
+
 
 class TestBruteForce:
     def test_guard(self, small_tagset):
@@ -236,6 +244,12 @@ class TestBruteForce:
         m = model_from(["a/NN"], small_tagset)
         with pytest.raises(EmptySentence):
             brute_force_decode([], m, cfg("bigram"))
+
+    @pytest.mark.parametrize("method", ("unigram",) + DP_METHODS)
+    def test_unknown_policy_outside_the_tagset(self, method):
+        m = model_from(["a/JJ b/NN", "b/VM"], Tagset(["JJ", "NN", "VM"]))
+        with pytest.raises(UnknownTag, match="QQ"):
+            brute_force_decode(["zzz", "b"], m, cfg(method, SmoothingConfig(unknown_policy="QQ")))
 
 
 class TestOracleEquivalence:
@@ -365,6 +379,14 @@ class TestTables:
         tag_sentence(["c", "oov1"], model, cfg(method))
         decode_with_trace(["a", "oov2", "b"], model, cfg(method))
         assert calls == ({table: 1} if table else {})
+
+    def test_bigram_and_hmm_share_one_build(self, monkeypatch):
+        calls = count_calls(monkeypatch, taggers, ("transition_tables",))
+        model, _ = random_model(make_rng(5))
+        tag_sentence(["a", "b", "c"], model, cfg("bigram"))
+        tag_sentence(["c", "oov1"], model, cfg("hmm"))
+        decode_with_trace(["a", "oov2"], model, cfg("hmm"))
+        assert calls == {"transition_tables": 1}
 
     @pytest.mark.parametrize("method", ("unigram",) + DP_METHODS)
     def test_alternating_smoothing_matches_fresh_models(self, method):
