@@ -116,6 +116,8 @@ def cmd_eval(args):
     config = taggers.TaggerConfig(method=args.method,
                                   smoothing=_smoothing_from(args, model.tagset))
     gold, _ = corpus_io.load_corpus(args.gold, model.tagset, strict=True)
+    if not gold:
+        raise EmptyCorpus("empty gold corpus")
     predicted = [taggers.tag_sentence([w for w, _ in s], model, config) for s in gold]
     report = evaluation.evaluate(gold, predicted)
     sys.stdout.write(evaluation.format_report(report, style=args.style))

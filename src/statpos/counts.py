@@ -23,14 +23,7 @@ from .errors import (
     UnknownWord,
     text_file,
 )
-from .tagset import (
-    DEFAULT_OPEN_CLASS_TAGS,
-    END,
-    END_SERIALIZED,
-    START,
-    START_SERIALIZED,
-    Tagset,
-)
+from .tagset import DEFAULT_OPEN_CLASS_TAGS, END, START, Tagset
 
 MODEL_VERSION = "1"
 _HEADER_PREFIX = "NGRAM-POS-MODEL v"
@@ -83,6 +76,9 @@ class CountsModel:
     once per sentence: the total of the (START, START, .) trigrams."""
 
     def __init__(self, tagset, word_tag_count, tag_trigram_count):
+        if not len(tagset):
+            # every decoder picks from at least one tag
+            raise CorruptSection("empty tagset")
         self.tagset = tagset
         self.word_tag_count = dict(word_tag_count)
         self.tag_trigram_count = dict(tag_trigram_count)
@@ -131,7 +127,7 @@ def build_counts(corpus, tagset):
     for sentence in corpus:
         tags = [START, START]
         for word, tag in sentence:
-            if word in (START_SERIALIZED, END_SERIALIZED):
+            if word in (START, END):
                 raise StatposError(f"word {word!r} collides with a reserved sentinel spelling")
             word_tag[word, tag] += 1
             tags.append(tag)
@@ -208,9 +204,10 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 #
 # UTF-8 lines.  Header "NGRAM-POS-MODEL v1", then sections [tagset],
 # [word_tag], [tag], [bigram], [trigram]; tab-separated records (keys then an
-# integer count), each terminated by "count=<records>".  Sentinels are spelled
-# <S> and </S>.  Records in every section but [tagset] contain a tab, and tag
-# labels never start with "count=", so no record reads as a terminator.  The
+# integer count), each terminated by "count=<records>".  Keys are written as
+# they are held in memory, sentinels included, and records are sorted by that
+# text.  Records in every section but [tagset] contain a tab, and tag labels
+# never start with "count=", so no record reads as a terminator.  The
 # model is built from [tagset], [word_tag] and [trigram]; [tag] and [bigram]
 # are written from the derived tables and must equal them on load.  Each
 # section appears once, no other section is allowed, and no key repeats
@@ -218,16 +215,6 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 
 _SECTIONS = ("tagset", "word_tag", "tag", "bigram", "trigram")
 _TERMINATOR = re.compile(r"count=([0-9]+)")
-_SENTINEL_OUT = {START: START_SERIALIZED, END: END_SERIALIZED}
-_SENTINEL_IN = {v: k for k, v in _SENTINEL_OUT.items()}
-
-
-def _tag_out(tag):
-    return _SENTINEL_OUT.get(tag, tag)
-
-
-def _tag_in(label):
-    return _SENTINEL_IN.get(label, label)
 
 
 def save_model(model, sink):
@@ -263,11 +250,9 @@ def _write_model(model, fh):
 
     section("tagset", ([t] for t in model.tagset))
     section("word_tag", ((w, t, str(c)) for (w, t), c in sorted(model.word_tag_count.items())))
-    section("tag", ((_tag_out(t), str(c)) for t, c in sorted(model.tag_count.items())))
-    section("bigram", ((_tag_out(a), _tag_out(b), str(c))
-                       for (a, b), c in sorted(model.tag_bigram_count.items())))
-    section("trigram", ((_tag_out(a), _tag_out(b), _tag_out(c), str(n))
-                        for (a, b, c), n in sorted(model.tag_trigram_count.items())))
+    section("tag", ((t, str(c)) for t, c in sorted(model.tag_count.items())))
+    section("bigram", ((*k, str(c)) for k, c in sorted(model.tag_bigram_count.items())))
+    section("trigram", ((*k, str(c)) for k, c in sorted(model.tag_trigram_count.items())))
 
 
 def load_model(source):
@@ -309,13 +294,12 @@ def load_model(source):
             raise CorruptSection(f"missing section [{name}]")
 
     def table(name, width):
-        """{key: count} for a section; sentinel spellings in tag keys are read back."""
+        """{key: count} for a section, each key as written."""
         out = {}
         for rec in sections[name]:
             if len(rec) != width or not (rec[-1].isascii() and rec[-1].isdigit()):
                 raise CorruptSection(f"bad record {rec!r}")
-            key = tuple(rec[:-1]) if name == "word_tag" else tuple(map(_tag_in, rec[:-1]))
-            out[key[0] if width == 2 else key] = int(rec[-1])
+            out[rec[0] if width == 2 else tuple(rec[:-1])] = int(rec[-1])
         if len(out) != len(sections[name]):
             raise CorruptSection(f"section [{name}] repeats a key")
         return out

@@ -1,19 +1,16 @@
 """Tagset registry.
 
-Tags are plain uppercase-ASCII strings.  Two sentinel labels START/END pad
-sentence boundaries internally; they are never valid in corpus files and are
+Tags are plain uppercase-ASCII strings.  Two sentinels pad every sentence,
+START twice before it and END once after it.  They are spelled <S> and </S>
+in memory, in model files and in probe queries; this module is the only one
+that knows the spelling.  They are never valid tag labels, so they are
 excluded from every user-visible tagset.
 """
 
 from .errors import StatposError, text_file
 
-START = "START"
-END = "END"
-
-# Serialized spellings of the sentinels in model files.  Tag labels and corpus
-# words equal to these strings are rejected so model files stay unambiguous.
-START_SERIALIZED = "<S>"
-END_SERIALIZED = "</S>"
+START = "<S>"
+END = "</S>"
 
 # IIIT-Hyderabad-derived Marathi tagset (23 labels).
 DEFAULT_TAGS = [
@@ -35,7 +32,7 @@ def _check_label(label):
         raise InvalidTagLabel("empty tag label")
     if any(c.isspace() for c in label) or "/" in label:
         raise InvalidTagLabel(f"tag label {label!r} contains whitespace or '/'")
-    if label in (START, END, START_SERIALIZED, END_SERIALIZED):
+    if label in (START, END):
         raise InvalidTagLabel(f"{label!r} is a reserved sentinel")
     if label.startswith("count="):
         raise InvalidTagLabel(f"{label!r} would read as a model-file section terminator")

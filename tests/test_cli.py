@@ -221,6 +221,21 @@ class TestBadModel:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["unigram", "bigram", "hmm", "trigram"])
+    def test_all_sections_empty(self, tmp_path, capsys, method):
+        sections = ("tagset", "word_tag", "tag", "bigram", "trigram")
+        empty = tmp_path / "empty.txt"
+        empty.write_text("NGRAM-POS-MODEL v1\n" + "".join(f"[{name}]\ncount=0\n"
+                                                          for name in sections),
+                         encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        code, out, err = run(capsys, ["tag", "--model", str(empty), "--method", method,
+                                      "--input", str(src)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: empty tagset\n"
+
 
 class TestEval:
     def test_self_evaluation_is_perfect(self, model_path, tmp_path, capsys):
@@ -257,6 +272,16 @@ class TestEval:
         assert code == 0
         assert "correct_tokens\t6" in out
 
+    @pytest.mark.parametrize("style", ["plain", "tsv"])
+    def test_empty_gold(self, model_path, tmp_path, capsys, style):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("\n\n", encoding="utf-8")
+        code, out, err = run(capsys, ["eval", "--model", str(model_path), "--method", "hmm",
+                                      "--gold", str(gold), "--style", style])
+        assert code == 2
+        assert out == ""
+        assert err == "error: empty gold corpus\n"
+
     def test_missing_flags(self, capsys):
         code, _, err = run(capsys, ["eval", "--style", "plain"])
         assert code == 1
@@ -291,6 +316,19 @@ class TestProbe:
                                     "--alpha", "0", "trans", "NN", "VM"])
         assert code == 0
         assert "raw\t0.5" in out
+
+    def test_trans_from_start(self, model_path, capsys):
+        code, out, _ = run(capsys, ["probe", "--model", str(model_path),
+                                    "--alpha", "0", "trans", "<S>", "NN"])
+        assert code == 0
+        assert out == "raw\t0.6666666667\nsmoothed\t0.6666666667\n"
+
+    def test_old_sentinel_spelling_is_a_tag(self, model_path, capsys):
+        code, out, err = run(capsys, ["probe", "--model", str(model_path),
+                                      "trans", "START", "NN"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown tag 'START'\n"
 
     def test_tri(self, model_path, capsys):
         code, out, _ = run(capsys, ["probe", "--model", str(model_path),

@@ -4,12 +4,17 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from statpos import (
+    TaggerConfig,
     Tagset,
+    build_counts,
     default_tagset,
     load_corpus,
+    load_model,
     parse_tagged_line,
     save_corpus,
+    save_model,
     serialize_tagged_sentence,
+    tag_sentence,
     tokenize_raw_line,
 )
 from statpos.errors import (
@@ -19,6 +24,7 @@ from statpos.errors import (
     MalformedToken,
     UnknownTag,
 )
+from statpos.taggers import METHODS
 from statpos.tagset import DEFAULT_TAGS, InvalidTagLabel
 
 
@@ -132,13 +138,18 @@ class TestTagset:
         assert len(tagset) == 23
         assert list(tagset) == DEFAULT_TAGS
 
-    def test_sentinels_rejected_as_labels(self):
-        with pytest.raises(InvalidTagLabel):
-            Tagset(["NN", "START"])
+    def test_start_and_end_are_ordinary_labels(self):
+        tagset = Tagset(["START", "END"])
+        corpus = load_corpus(io.StringIO("a/START b/END\nb/END\n"), tagset)[0]
+        buf = io.StringIO()
+        save_model(build_counts(corpus, tagset), buf)
+        model = load_model(io.StringIO(buf.getvalue()))
+        for method in METHODS:
+            assert tag_sentence(["a", "b"], model, TaggerConfig(method=method)) == corpus[0]
 
     @pytest.mark.parametrize("label", ["<S>", "</S>"])
     def test_sentinel_spellings_rejected_as_labels(self, label):
-        # a model file writes START and END this way
+        # the sentinels themselves, in memory and in model files
         with pytest.raises(InvalidTagLabel):
             Tagset(["NN", label])
 

@@ -27,7 +27,7 @@ from statpos.errors import (
     UnknownWord,
 )
 from statpos import counts
-from statpos.tagset import END, END_SERIALIZED, START, START_SERIALIZED
+from statpos.tagset import END, START
 
 from conftest import model_from
 from randgen import make_rng, random_model
@@ -263,7 +263,7 @@ _word_char = st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.is
 model_word = st.one_of(
     st.text(_word_char, min_size=1, max_size=8),
     st.text(st.sampled_from("0123456789"), max_size=3).map(lambda d: "count=" + d),
-).filter(lambda w: w not in (START_SERIALIZED, END_SERIALIZED))
+).filter(lambda w: w not in (START, END))
 
 
 class TestModelSerialization:
@@ -347,9 +347,45 @@ class TestModelSerialization:
         save_model(model, buf)
         assert buf.getvalue() == GOLDEN_MODEL
 
+    def test_old_record_order_loads(self):
+        self.assert_same(load_model(io.StringIO(OLD_ORDER_MODEL)),
+                         load_model(io.StringIO(GOLDEN_MODEL)))
+
 
 # save_model's exact output for the corpus "a/NN b/VM", "c/NN"
 GOLDEN_MODEL = """NGRAM-POS-MODEL v1
+[tagset]
+NN
+VM
+count=2
+[word_tag]
+a\tNN\t1
+b\tVM\t1
+c\tNN\t1
+count=3
+[tag]
+</S>\t2
+<S>\t2
+NN\t2
+VM\t1
+count=4
+[bigram]
+<S>\tNN\t2
+NN\t</S>\t1
+NN\tVM\t1
+VM\t</S>\t1
+count=4
+[trigram]
+<S>\t<S>\tNN\t2
+<S>\tNN\t</S>\t1
+<S>\tNN\tVM\t1
+NN\tVM\t</S>\t1
+count=4
+"""
+
+# The same model as earlier releases wrote it: they sorted the [tag],
+# [bigram] and [trigram] records as if the sentinels were spelled START and END.
+OLD_ORDER_MODEL = """NGRAM-POS-MODEL v1
 [tagset]
 NN
 VM
@@ -396,16 +432,17 @@ class TestModelConsistency:
         assert model.total_tokens == 3
 
     def test_empty_sections_load(self):
-        sections = ("tagset", "word_tag", "tag", "bigram", "trigram")
-        text = "NGRAM-POS-MODEL v1\n" + "".join(f"[{name}]\ncount=0\n" for name in sections)
+        sections = ("word_tag", "tag", "bigram", "trigram")
+        text = ("NGRAM-POS-MODEL v1\n[tagset]\nNN\ncount=1\n"
+                + "".join(f"[{name}]\ncount=0\n" for name in sections))
         model = load_model(io.StringIO(text))
         assert model.tag_count == {} and model.total_tokens == 0
 
     @pytest.mark.parametrize("old, new", [
-        ("NN\t2\n<S>", "NN\t3\n<S>"),
-        ("<S>\t2\nVM", "<S>\t1\nVM"),
-        ("NN\tVM\t1\n<S>\tNN\t2", "NN\tVM\t2\n<S>\tNN\t2"),
-        ("VM\t</S>\t1\ncount", "VM\tNN\t1\ncount"),
+        ("NN\t2\nVM", "NN\t3\nVM"),
+        ("<S>\t2\nNN", "<S>\t1\nNN"),
+        ("NN\tVM\t1\nVM\t</S>", "NN\tVM\t2\nVM\t</S>"),
+        ("\nVM\t</S>\t1\ncount", "\nVM\tNN\t1\ncount"),
     ], ids=["tag-count", "tag-sentinel", "bigram-count", "bigram-key"])
     def test_derived_section_disagrees(self, old, new):
         with pytest.raises(CorruptSection, match="disagrees"):
@@ -453,9 +490,11 @@ class TestModelConsistency:
     @pytest.mark.parametrize("old, new", [
         ("a\tNN\t1\nb\tVM\t1\nc\tNN\t1\ncount=3",
          "a\tNN\t5\na\tNN\t1\nb\tVM\t1\nc\tNN\t1\ncount=4"),
-        ("NN\t2\n<S>\t2\nVM\t1\ncount=4", "NN\t7\nNN\t2\n<S>\t2\nVM\t1\ncount=5"),
-        ("VM\t</S>\t1\ncount=4", "VM\t</S>\t3\nVM\t</S>\t1\ncount=5"),
-        ("<S>\t<S>\tNN\t2\ncount=4", "<S>\t<S>\tNN\t9\n<S>\t<S>\tNN\t2\ncount=5"),
+        ("NN\t2\nVM\t1\ncount=4", "NN\t7\nNN\t2\nVM\t1\ncount=5"),
+        ("\nVM\t</S>\t1\ncount=4", "\nVM\t</S>\t3\nVM\t</S>\t1\ncount=5"),
+        ("<S>\t<S>\tNN\t2\n<S>\tNN\t</S>\t1\n<S>\tNN\tVM\t1\nNN\tVM\t</S>\t1\ncount=4",
+         "<S>\t<S>\tNN\t9\n<S>\t<S>\tNN\t2\n<S>\tNN\t</S>\t1\n<S>\tNN\tVM\t1\n"
+         "NN\tVM\t</S>\t1\ncount=5"),
     ], ids=["word_tag", "tag", "bigram", "trigram"])
     def test_repeated_key(self, old, new):
         # the last record carries the true count, so only the repeat is wrong
