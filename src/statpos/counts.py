@@ -67,6 +67,17 @@ def check_unknown_policy(policy, tagset):
         raise UnknownTag(policy)
 
 
+def _sentinel_out_of_place(context, tag):
+    # a padded sentence has no tag after END and no START after a tag
+    return END in context or tag == START
+
+
+def _check_transition(context, tag):
+    if _sentinel_out_of_place(context, tag):
+        raise StatposError(f"no transition in a padded sentence from {' '.join(context)} "
+                           f"to {tag}")
+
+
 class CountsModel:
     """Immutable bundle of frequency tables trained from a tagged corpus.
 
@@ -88,8 +99,8 @@ class CountsModel:
             tag_count[tag] = tag_count.get(tag, 0) + n
         for key, n in self.tag_trigram_count.items():
             a, b, c = key
-            # START opens a trigram (second only after a first START), END closes one
-            if END in (a, b) or c == START or b == START != a:
+            # START opens a trigram only in the context, second only after a first START
+            if _sentinel_out_of_place((a, b), c) or b == START != a:
                 raise CorruptSection(f"sentinel out of place in trigram {key}")
             bigram[b, c] = bigram.get((b, c), 0) + n
         # checked once per distinct tag, at most T+2 of them, not per record
@@ -127,8 +138,6 @@ def build_counts(corpus, tagset):
     for sentence in corpus:
         tags = [START, START]
         for word, tag in sentence:
-            if word in (START, END):
-                raise StatposError(f"word {word!r} collides with a reserved sentinel spelling")
             word_tag[word, tag] += 1
             tags.append(tag)
         tags.append(END)
@@ -167,6 +176,7 @@ def p_bigram_transition(model, prev_tag, tag, smoothing):
     successor outcome in the smoothing denominator."""
     model._check_tag(prev_tag)
     model._check_tag(tag)
+    _check_transition((prev_tag,), tag)
     alpha = smoothing.alpha
     num = model.tag_bigram_count.get((prev_tag, tag), 0) + alpha
     denom = model.tag_count.get(prev_tag, 0) + alpha * (len(model.tagset) + 1)
@@ -191,6 +201,9 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
     model._check_tag(t2)
     model._check_tag(t1)
     model._check_tag(tag)
+    # a (tag, START) context occurs in no padded sentence either, but stays a
+    # well-defined query: its raw ratio is 0 and it backs off to the bigram
+    _check_transition((t2, t1), tag)
     p3 = _raw_trigram_ratio(model, t2, t1, tag)
     p2 = p_bigram_transition(model, t1, tag, smoothing)
     alpha = smoothing.alpha

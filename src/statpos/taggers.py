@@ -5,11 +5,12 @@ The scalar p_* functions of the counts module are the reference for the
 paper's equations.  Decoding reads one dict of tables per (model, smoothing),
 kept with the model and filled on first use: per method, the tables its
 kernel reads (the transitions of both orders from one numpy computation over
-count arrays, equal to the p_* values bit for bit; for hmm the doubled
-interior, built once), and one float64 row per row kind and word, shared by
-every unknown word.  tag_sentence and decode_with_trace share one path: stack
-the sentence's rows, then take the first maximum of each row (unigram) or run
-the order's Viterbi kernel (bigram, hmm, trigram).  score_sequence and
+count arrays, equal to the p_* values bit for bit; for the trigram only its
+distinct rows; for hmm the doubled interior, built once), and one float64
+row per row kind and word, shared by every unknown word.  tag_sentence and
+decode_with_trace share one path: stack the sentence's rows, then take the
+first maximum of each row (unigram) or run the order's Viterbi kernel
+(bigram, hmm, trigram).  score_sequence and
 brute_force_decode recompute the objective from the p_* functions and serve
 as the independent oracle in the test suite.  Ties are always broken in favor
 of the lexicographically smallest tag tuple.
@@ -142,11 +143,25 @@ def transition_tables(model, smoothing):
 
 
 def trigram_tables(model, smoothing):
-    """Second-order tables: start2 (T,), tri (T+1,T,T) with row T holding the
-    START context, tri_end (T+1,T)."""
+    """Second-order tables: start2 (T,), the transition rows, and tri_end
+    (T+1,T), whose row T holds the START context.  The pair state (a, b), a
+    = T for START, is s = a * T + b, and its transitions to the next tag are
+    rows[state_row[s]] (T,), a row whose current tag ctx[state_row[s]] is b.
+    A context that never occurs has a raw trigram ratio of exactly 0.0, so
+    its row is the backoff row of b, shared by all such contexts: K = T
+    backoff rows plus one row per context that occurs."""
     labels, p = _transition_probs(model, smoothing, second_order=True)
     T = len(labels)
-    return (labels, _log_table(p[T, T, :T]), _log_table(p[:T + 1, :T, :T]),
+    index = {t: i for i, t in enumerate(labels + [START])}
+    seen = np.array(sorted(index[a] * T + index[b]
+                           for (a, b), n in model.tag_bigram_count.items() if n and b != END),
+                    dtype=np.intp)
+    # no bigram leaves END, so the END context p[T + 1] holds the backoff rows
+    rows = np.concatenate([p[T + 1, :T, :T], p[:T + 1, :T, :T].reshape(-1, T)[seen]])
+    ctx = np.concatenate([np.arange(T), seen % T])
+    state_row = np.tile(np.arange(T), T + 1)
+    state_row[seen] = T + np.arange(len(seen))
+    return (labels, _log_table(p[T, T, :T]), (_log_table(rows), ctx, state_row),
             _log_table(p[:T + 1, :T, T + 1]))
 
 

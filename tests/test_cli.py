@@ -109,6 +109,20 @@ class TestTrain:
                      "--input", str(src), "--output", str(out_path)]) == 0
         assert out_path.read_text(encoding="utf-8") == "count=1/NN b/VM\n"
 
+    def test_words_spelled_like_the_sentinels(self, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("x/NN b/VM\nc/JJ b/VM\n<S>/NN a/VM\n</S>/QC b/VM\n",
+                          encoding="utf-8")
+        model = tmp_path / "m.txt"
+        assert main(["train", "--corpus", str(corpus), "--model", str(model)]) == 0
+        src = tmp_path / "in.txt"
+        src.write_text("<S> a\n</S> b\n", encoding="utf-8")
+        out_path = tmp_path / "out.txt"
+        for method in ("unigram", "bigram", "trigram", "hmm"):
+            assert main(["tag", "--model", str(model), "--method", method,
+                         "--input", str(src), "--output", str(out_path)]) == 0
+            assert out_path.read_text(encoding="utf-8") == "<S>/NN a/VM\n</S>/QC b/VM\n"
+
 
 class TestTag:
     def test_single_path(self, model_path, tmp_path, capsys):
@@ -329,6 +343,18 @@ class TestProbe:
         assert code == 1
         assert out == ""
         assert err == "error: unknown tag 'START'\n"
+
+    @pytest.mark.parametrize("query", [["trans", "</S>", "NN"], ["trans", "NN", "<S>"],
+                                       ["tri", "</S>", "NN", "VM"], ["tri", "NN", "</S>", "VM"],
+                                       ["tri", "NN", "VM", "<S>"]],
+                             ids=["trans-from-end", "trans-to-start", "tri-end-first",
+                                  "tri-end-second", "tri-to-start"])
+    def test_sentinel_out_of_place(self, model_path, capsys, query):
+        # no padded sentence has a tag after END or START after a tag
+        code, out, err = run(capsys, ["probe", "--model", str(model_path), *query])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no transition") and err.count("\n") == 1
 
     def test_tri(self, model_path, capsys):
         code, out, _ = run(capsys, ["probe", "--model", str(model_path),

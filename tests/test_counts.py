@@ -70,9 +70,10 @@ class TestBuildCounts:
         with pytest.raises(UnknownTag):
             build_counts([[("a", "ZZZ")]], small_tagset)
 
-    def test_reserved_word_rejected(self, small_tagset):
-        with pytest.raises(StatposError):
-            build_counts([[("<S>", "NN")]], small_tagset)
+    def test_sentinel_spellings_are_ordinary_words(self, small_tagset):
+        m = build_counts([[("<S>", "NN"), ("</S>", "VM")]], small_tagset)
+        assert m.word_tag_count == {("<S>", "NN"): 1, ("</S>", "VM"): 1}
+        assert m.tag_count == {"NN": 1, "VM": 1, START: 1, END: 1}
 
 
 class TestMarginalizationInvariants:
@@ -199,6 +200,32 @@ class TestTrigramTransition:
         assert p_trigram_transition(m, "JJ", "QC", "NN", RAW) == 0.0
 
 
+@pytest.mark.parametrize("prob,key,accepted", [
+    (p_bigram_transition, (START, "NN"), True),
+    (p_bigram_transition, ("NN", END), True),
+    (p_bigram_transition, (END, "NN"), False),
+    (p_bigram_transition, ("NN", START), False),
+    (p_bigram_transition, (START, START), False),
+    (p_trigram_transition, (START, START, "NN"), True),
+    (p_trigram_transition, ("NN", START, "VM"), True),
+    (p_trigram_transition, ("NN", "VM", END), True),
+    (p_trigram_transition, (END, "NN", "VM"), False),
+    (p_trigram_transition, ("NN", END, "VM"), False),
+    (p_trigram_transition, ("NN", "VM", START), False),
+], ids=["bigram-from-start", "bigram-to-end", "bigram-from-end", "bigram-to-start",
+        "bigram-start-to-start", "trigram-start-start", "trigram-tag-start", "trigram-to-end",
+        "trigram-end-first", "trigram-end-second", "trigram-to-start"])
+def test_sentinel_placement_in_transitions(small_tagset, prob, key, accepted):
+    # no padded sentence has a tag after END or START after a tag; the
+    # (tag, START) context is a query that stays well-defined
+    m = model_from(["a/NN b/VM"], small_tagset)
+    if accepted:
+        assert 0.0 <= prob(m, *key, SmoothingConfig()) <= 1.0
+    else:
+        with pytest.raises(StatposError, match="no transition in a padded sentence"):
+            prob(m, *key, SmoothingConfig())
+
+
 class TestEquationExactness:
     """Raw-configuration queries equal direct integer-count ratios recomputed
     from the corpus without going through the model's tables."""
@@ -256,14 +283,13 @@ class TestEquationExactness:
                     p_tag_given_word(m3, w, t), abs=1e-12)
 
 
-# Any non-whitespace Unicode word except the sentinel spellings, which
-# build_counts rejects; the second branch makes words that mimic a section
-# terminator.
+# Any non-whitespace Unicode word, the sentinel spellings included; the
+# second branch makes words that mimic a section terminator.
 _word_char = st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace())
 model_word = st.one_of(
     st.text(_word_char, min_size=1, max_size=8),
     st.text(st.sampled_from("0123456789"), max_size=3).map(lambda d: "count=" + d),
-).filter(lambda w: w not in (START, END))
+)
 
 
 class TestModelSerialization:
@@ -289,6 +315,7 @@ class TestModelSerialization:
                              min_size=1, max_size=5),
                     min_size=1, max_size=4))
     @example([[("a", "NN"), ("count=1", "NN"), ("b", "VM")]])
+    @example([[(START, "NN"), ("a", "VM")], [(END, "JJ"), (START, "NN")]])
     def test_round_trip_any_words(self, corpus):
         model = build_counts(corpus, Tagset(["JJ", "NN", "VM"]))
         self.assert_same(self.roundtrip(model), model)

@@ -31,6 +31,27 @@ def _path_score_trigram(path, emit, start2, tri, tri_end):
     return score + tri_end[ctx[-2], path[-1]]
 
 
+def _share_rows(rng, tri):
+    """Give about half the contexts (a, b) of a dense trigram table the row
+    of context (0, b), as the contexts that never occur share their backoff
+    row."""
+    a, b = np.nonzero(rng.uniform(size=tri.shape[:2]) < 0.5)
+    tri[a, b] = tri[0, b]
+
+
+def _compressed(tables):
+    """Kernel arguments for dense second-order tables (emit, start2, tri
+    (T+1,T,T), tri_end): tri becomes its distinct (current tag, row) pairs
+    (rows, ctx, state_row)."""
+    emit, start, tri, end = tables
+    T = emit.shape[1]
+    keyed = np.column_stack([np.tile(np.arange(T), T + 1), tri.reshape(-1, T)])
+    distinct, state_row = np.unique(keyed, axis=0, return_inverse=True)
+    trans = (distinct[:, 1:], distinct[:, 0].astype(np.intp), state_row.reshape(-1))
+    assert np.array_equal(trans[0][trans[2]], tri.reshape(-1, T))
+    return emit, start, trans, end
+
+
 def _random_tables(rng, order):
     """Tables of T in 1..4 tags for 1..6 words, with logs rounded to 0.1 so
     that exact ties occur, and about one -inf entry in ten."""
@@ -40,6 +61,8 @@ def _random_tables(rng, order):
     tables = [np.round(np.log(rng.uniform(0.1, 1.0, shape)), 1) for shape in shapes]
     for table in tables:
         table[rng.uniform(size=table.shape) < 0.1] = -np.inf
+    if order == "trigram":
+        _share_rows(rng, tables[2])
     return tables
 
 
@@ -64,8 +87,9 @@ def test_max_marginals_with_zero_probability_emission(order):
         score_of = _path_score_trigram
     for tables in [tables] + [_random_tables(rng, order) for _ in range(100)]:
         n, T = tables[0].shape
-        path, score = kernels.viterbi(*tables)
-        marginal_path, marginal_score, margins = kernels.max_marginals(*tables)
+        args = tables if order == "bigram" else _compressed(tables)
+        path, score = kernels.viterbi(*args)
+        marginal_path, marginal_score, margins = kernels.max_marginals(*args)
         assert (marginal_path, marginal_score) == (path, score)
         scores = {p: score_of(p, *tables) for p in itertools.product(range(T), repeat=n)}
         best = max(scores.values())
@@ -116,7 +140,9 @@ def _stepwise_kernel(emit, start, trans, end):
 def test_long_sentences_match_the_stepwise_walk(order, block, monkeypatch):
     # Up to 500 words and 8 tags, logs rounded to 0.1 for exact ties and 15%
     # -inf entries; small blocks make the first-order walk cross block
-    # boundaries.  Paths, scores and margins must be bit-identical.
+    # boundaries.  The second order decodes the distinct rows of a dense
+    # table with shared rows, against the dense reference.  Paths, scores
+    # and margins must be bit-identical.
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_CELLS", block)
     rng = np.random.default_rng(11)
@@ -127,8 +153,12 @@ def test_long_sentences_match_the_stepwise_walk(order, block, monkeypatch):
         tables = [np.round(np.log(rng.uniform(0.1, 1.0, shape)), 1) for shape in shapes]
         for table in tables:
             table[rng.uniform(size=table.shape) < 0.15] = -np.inf
+        args = tables
+        if order == "trigram":
+            _share_rows(rng, tables[2])
+            args = _compressed(tables)
         path, score, margins = _stepwise_kernel(*tables)
-        assert kernels.viterbi(*tables) == (path, score)
-        marginal_path, marginal_score, marginal_margins = kernels.max_marginals(*tables)
+        assert kernels.viterbi(*args) == (path, score)
+        marginal_path, marginal_score, marginal_margins = kernels.max_marginals(*args)
         assert (marginal_path, marginal_score) == (path, score)
         assert np.array_equal(marginal_margins, margins)

@@ -350,12 +350,35 @@ class TestTables:
             forced = SmoothingConfig(unknown_policy=labels[-1])
             for smoothing in self.SMOOTHINGS + (forced,):
                 first, second = scalar_tables(model, smoothing)
+                got_labels, start2, (rows, _, state_row), tri_end = taggers.trigram_tables(
+                    model, smoothing)
+                tri = rows[state_row].reshape(len(labels) + 1, len(labels), -1)
                 for got, expected in ((taggers.transition_tables(model, smoothing), first),
-                                      (taggers.trigram_tables(model, smoothing), second)):
+                                      ((got_labels, start2, tri, tri_end), second)):
                     assert got[0] == labels
-                    for table, reference in zip(got[1:], expected):
+                    for table, reference in zip(got[1:], expected, strict=True):
                         assert np.array_equal(table, reference)
         assert seen["zero-count tag"] > 10 and seen["unseen context"] > 10
+
+    def test_trigram_rows_expand_to_the_dense_table(self):
+        # one backoff row per tag plus one row per context (a, b) that
+        # occurs; every pair state reads a row of its own current tag
+        rng = make_rng(17)
+        for _ in range(100):
+            model, _ = random_model(rng)
+            labels = model.tagset.sorted_labels()
+            T = len(labels)
+            contexts = [START] + labels
+            occurring = sum(n > 0 for (a, b), n in model.tag_bigram_count.items()
+                            if a in contexts and b in labels)
+            forced = SmoothingConfig(unknown_policy=labels[-1])
+            for smoothing in self.SMOOTHINGS + (forced,):
+                _, p = taggers._transition_probs(model, smoothing, second_order=True)
+                dense = taggers._log_table(p[:T + 1, :T, :T]).reshape(-1, T)
+                rows, ctx, state_row = taggers.trigram_tables(model, smoothing)[2]
+                assert rows.shape == (T + occurring, T)
+                assert np.array_equal(rows[state_row], dense)
+                assert np.array_equal(ctx[state_row], np.tile(np.arange(T), T + 1))
 
     def test_tables_make_no_scalar_transition_calls(self, monkeypatch):
         names = ("p_bigram_transition", "p_trigram_transition")
