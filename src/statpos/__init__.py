@@ -24,15 +24,20 @@ from .counts import (
     save_model,
 )
 from .evaluation import EvaluationReport, evaluate, format_report, round_percent
-from .taggers import (
-    DecodeTrace,
-    TaggerConfig,
-    brute_force_decode,
-    decode_with_trace,
-    score_sequence,
-    tag_sentence,
-)
 from .tagset import END, START, Tagset, default_tagset
+
+# The decoders import numpy, which training and counting never use, so they
+# load on first access.
+_TAGGERS = frozenset({"DecodeTrace", "TaggerConfig", "brute_force_decode", "decode_with_trace",
+                      "score_sequence", "tag_corpus", "tag_sentence"})
+
+
+def __getattr__(name):
+    if name in _TAGGERS:
+        from . import taggers
+        return getattr(taggers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CountsModel",
@@ -62,6 +67,7 @@ __all__ = [
     "save_model",
     "score_sequence",
     "serialize_tagged_sentence",
+    "tag_corpus",
     "tag_sentence",
     "tokenize_raw_line",
 ]

@@ -2,14 +2,18 @@
 
 import argparse
 import contextlib
+import itertools
 import sys
 
 from . import corpus as corpus_io
 from . import counts as counts_mod
-from . import evaluation, taggers
-from .counts import SmoothingConfig, UNIFORM_OPEN_CLASS
+from . import evaluation
+from .counts import METHODS, SmoothingConfig, UNIFORM_OPEN_CLASS
 from .errors import EmptyCorpus, StatposError, UnknownWord, text_file
 from .tagset import Tagset, default_tagset
+
+# Lines that `tag` reads, tags with one tag_corpus call and writes at a time.
+CHUNK_LINES = 1000
 
 
 def _smoothing_args(parser):
@@ -46,14 +50,14 @@ def build_parser():
 
     p = sub.add_parser("tag", help="tag raw text, one sentence per line")
     p.add_argument("--model", required=True)
-    p.add_argument("--method", required=True, choices=taggers.METHODS)
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--input", help="raw text path (default: stdin)")
     p.add_argument("--output", help="tagged output path (default: stdout)")
     _smoothing_args(p)
 
     p = sub.add_parser("eval", help="re-tag a gold corpus and score the result")
     p.add_argument("--model")
-    p.add_argument("--method", choices=taggers.METHODS)
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--gold")
     p.add_argument("--style", choices=("plain", "tsv"), default="plain")
     p.add_argument("--counts", nargs=2, type=int, metavar=("CORRECT", "TOTAL"),
@@ -84,6 +88,8 @@ def cmd_train(args):
 
 
 def cmd_tag(args):
+    from . import taggers
+
     model = counts_mod.load_model(args.model)
     config = taggers.TaggerConfig(method=args.method,
                                   smoothing=_smoothing_from(args, model.tagset))
@@ -91,15 +97,17 @@ def cmd_tag(args):
         instream = stack.enter_context(
             text_file(args.input or getattr(sys.stdin, "buffer", sys.stdin)))
         outstream = stack.enter_context(text_file(args.output or sys.stdout, "w"))
-        for raw in instream:
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                outstream.write("\n")
-                continue
-            words = corpus_io.tokenize_raw_line(line)
-            tagged = taggers.tag_sentence(words, model, config)
-            outstream.write(corpus_io.serialize_tagged_sentence(tagged) + "\n")
-    return 0
+        while True:
+            lines = [raw.rstrip("\r\n") for raw in itertools.islice(instream, CHUNK_LINES)]
+            if not lines:
+                return 0
+            tagged = iter(taggers.tag_corpus(
+                [corpus_io.tokenize_raw_line(line) for line in lines if line.strip()],
+                model, config))
+            outstream.write("".join(
+                corpus_io.serialize_tagged_sentence(next(tagged)) + "\n" if line.strip() else "\n"
+                for line in lines))
+            outstream.flush()
 
 
 def cmd_eval(args):
@@ -112,13 +120,15 @@ def cmd_eval(args):
         return 0
     if not (args.model and args.method and args.gold):
         raise StatposError("--model, --method and --gold are required without --counts")
+    from . import taggers
+
     model = counts_mod.load_model(args.model)
     config = taggers.TaggerConfig(method=args.method,
                                   smoothing=_smoothing_from(args, model.tagset))
     gold, _ = corpus_io.load_corpus(args.gold, model.tagset, strict=True)
     if not gold:
         raise EmptyCorpus("empty gold corpus")
-    predicted = [taggers.tag_sentence([w for w, _ in s], model, config) for s in gold]
+    predicted = taggers.tag_corpus([[w for w, _ in s] for s in gold], model, config)
     report = evaluation.evaluate(gold, predicted)
     sys.stdout.write(evaluation.format_report(report, style=args.style))
     return 0
@@ -152,6 +162,8 @@ def cmd_probe(args):
         dist.sort(key=lambda pt: (-pt[0], pt[1]))
         print(" / ".join(f"{t} {_fmt_prob(p)}" for p, t in dist))
     elif q[0] == "decode" and len(q) >= 3:
+        from . import taggers
+
         words = q[2:]
         config = taggers.TaggerConfig(method=q[1], smoothing=smoothing)
         tagged, trace = taggers.decode_with_trace(words, model, config)

@@ -31,6 +31,10 @@ MODEL_HEADER = _HEADER_PREFIX + MODEL_VERSION
 
 UNIFORM_OPEN_CLASS = "uniform-open-class"
 
+# The decoding methods of statpos.taggers, named here so that the CLI can
+# list them without importing numpy.
+METHODS = ("unigram", "bigram", "trigram", "hmm")
+
 
 @dataclass(frozen=True)
 class SmoothingConfig:

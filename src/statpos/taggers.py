@@ -10,7 +10,10 @@ distinct rows; for hmm the doubled interior, built once), and one float64
 row per row kind and word, shared by every unknown word.  tag_sentence and
 decode_with_trace share one path: stack the sentence's rows, then take the
 first maximum of each row (unigram) or run the order's Viterbi kernel
-(bigram, hmm, trigram).  score_sequence and
+(bigram, hmm, trigram).  tag_corpus returns what tag_sentence returns for
+each sentence of a list; for the Viterbi methods it lays the sentences' rows
+out longest first and right-aligned, in batches of at most BATCH_CELLS
+padded cells, and runs the same kernel once per batch.  score_sequence and
 brute_force_decode recompute the objective from the p_* functions and serve
 as the independent oracle in the test suite.  Ties are always broken in favor
 of the lexicographically smallest tag tuple.
@@ -24,6 +27,7 @@ import numpy as np
 
 from . import kernels
 from .counts import (
+    METHODS,
     SmoothingConfig,
     UNIFORM_OPEN_CLASS,
     check_unknown_policy,
@@ -35,9 +39,11 @@ from .counts import (
 from .errors import EmptySentence, InstanceTooLarge, InvalidConfig, LengthMismatch, UnknownTag
 from .tagset import END, START
 
-METHODS = ("unigram", "bigram", "trigram", "hmm")
-
 NEG_INF = float("-inf")
+
+# Most padded cells of beta and the backpointers that one tag_corpus batch
+# holds (8 MB of float64).
+BATCH_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,16 +188,33 @@ def _rows(model, smoothing, tables, sentence, prob):
     return np.concatenate(rows).reshape(len(rows), len(labels))
 
 
-def _decode(sentence, model, config, traced):
-    """The tagged sentence and, when traced, its DecodeTrace."""
-    if not sentence:
-        raise EmptySentence()
-    smoothing, method = config.smoothing, config.method
+def _tables(model, smoothing):
+    """The table cache of (model, smoothing)."""
     # the tables hold no reference to the model, so they are freed with it
     tables = model._tables.get(smoothing)
     if tables is None:
         check_unknown_policy(smoothing.unknown_policy, model.tagset)
         tables = model._tables[smoothing] = {"labels": model.tagset.sorted_labels()}
+    return tables
+
+
+def _kernel_tables(model, smoothing, tables, method):
+    """(start, trans, end) of a Viterbi method, built on first use."""
+    if method not in tables:
+        if method == "trigram":
+            tables[method] = trigram_tables(model, smoothing)[1:]
+        else:
+            start, trans, end = tables["bigram"] = transition_tables(model, smoothing)[1:]
+            tables["hmm"] = start, 2.0 * trans, end
+    return tables[method]
+
+
+def _decode(sentence, model, config, traced):
+    """The tagged sentence and, when traced, its DecodeTrace."""
+    if not sentence:
+        raise EmptySentence()
+    smoothing, method = config.smoothing, config.method
+    tables = _tables(model, smoothing)
     labels = tables["labels"]
     if method == "unigram":
         probs = _rows(model, smoothing, tables, sentence, _unigram_lexical_prob)
@@ -207,13 +230,8 @@ def _decode(sentence, model, config, traced):
             score = sum(best.tolist())
             margins = logs + (score - best)[:, None] if possible else np.full_like(logs, NEG_INF)
     else:
-        if method not in tables:
-            if method == "trigram":
-                tables[method] = trigram_tables(model, smoothing)[1:]
-            else:
-                start, trans, end = tables["bigram"] = transition_tables(model, smoothing)[1:]
-                tables["hmm"] = start, 2.0 * trans, end
-        args = (_rows(model, smoothing, tables, sentence, _log_emission), *tables[method])
+        args = (_rows(model, smoothing, tables, sentence, _log_emission),
+                *_kernel_tables(model, smoothing, tables, method))
         if traced:
             path, score, margins = kernels.max_marginals(*args)
         else:
@@ -229,6 +247,40 @@ def _decode(sentence, model, config, traced):
 def tag_sentence(sentence, model, config):
     """Tag a list of words with config.method; returns (word, tag) pairs."""
     return _decode(sentence, model, config, traced=False)[0]
+
+
+def tag_corpus(sentences, model, config):
+    """Tag a list of sentences; equal to [tag_sentence(s, model, config) for
+    s in sentences], tie-breaks included.  The Viterbi methods decode the
+    sentences longest first, in batches of at most BATCH_CELLS padded cells,
+    one kernel call per batch."""
+    if not all(sentences):
+        raise EmptySentence()
+    if config.method == "unigram":
+        return [tag_sentence(s, model, config) for s in sentences]
+    smoothing = config.smoothing
+    tables = _tables(model, smoothing)
+    labels = tables["labels"]
+    start, trans, end = _kernel_tables(model, smoothing, tables, config.method)
+    T = len(labels)
+    # padded cells per position and sentence: beta and the backpointers
+    width = end.size + (len(trans[1]) if end.ndim == 2 else T)
+    order = sorted(range(len(sentences)), key=lambda j: -len(sentences[j]))
+    tagged = [None] * len(sentences)
+    lo = 0
+    while lo < len(order):
+        n = len(sentences[order[lo]])
+        batch = order[lo:lo + max(1, BATCH_CELLS // (n * width))]
+        lo += len(batch)
+        # right-aligned at position n - 1, position-major
+        emit = np.empty((n, len(batch), T))
+        for b, j in enumerate(batch):
+            emit[n - len(sentences[j]):, b] = _rows(model, smoothing, tables, sentences[j],
+                                                   _log_emission)
+        paths, _ = kernels.viterbi(emit, start, trans, end, [len(sentences[j]) for j in batch])
+        for j, path in zip(batch, paths):
+            tagged[j] = [(w, labels[t]) for w, t in zip(sentences[j], path)]
+    return tagged
 
 
 def decode_with_trace(sentence, model, config):

@@ -1,9 +1,12 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from statpos import errors
+from statpos import cli, errors, evaluation
 from statpos.cli import main
 
 TRAIN = "a/NN b/VM\nc/JJ d/QC\na/NN d/QC\n"
@@ -206,6 +209,61 @@ class TestTag:
         assert "error" in err
 
 
+class TestTagChunks:
+    """`tag` reads and writes its input a chunk of lines at a time."""
+
+    RAW = b"a b\r\n\r\n   \nc d a b\n\t\nd\r\nzzz a\n\n\na b c d a b c\r\nb"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["unigram", "bigram", "trigram", "hmm"])
+    def test_same_bytes_as_one_line_at_a_time(self, model_path, tmp_path, monkeypatch,
+                                              method, chunk):
+        # blank, whitespace-only and CRLF lines, and a last line without a
+        # newline: the output of each line tagged in its own run, in order
+        expected = b""
+        for i, line in enumerate(self.RAW.splitlines(keepends=True)):
+            src = tmp_path / f"line{i}.txt"
+            src.write_bytes(line)
+            out = tmp_path / f"line{i}.out"
+            assert main(["tag", "--model", str(model_path), "--method", method,
+                         "--input", str(src), "--output", str(out)]) == 0
+            expected += out.read_bytes()
+        src = tmp_path / "in.txt"
+        src.write_bytes(self.RAW)
+        out = tmp_path / "out.txt"
+        monkeypatch.setattr(cli, "CHUNK_LINES", chunk)
+        assert main(["tag", "--model", str(model_path), "--method", method,
+                     "--input", str(src), "--output", str(out)]) == 0
+        assert out.read_bytes() == expected
+        assert expected.count(b"\n") == len(self.RAW.splitlines())
+
+    def test_flushes_each_chunk(self, model_path, tmp_path, monkeypatch):
+        # what a chunk tags reaches the output before the next chunk is read
+        written = []
+
+        class Input(io.StringIO):
+            def __next__(self):
+                written.append(out.getvalue())
+                return super().__next__()
+
+        class Output(io.StringIO):
+            def write(self, text):
+                self.pending = text
+                return len(text)
+
+            def flush(self):
+                super().write(self.pending)
+
+        out = Output()
+        monkeypatch.setattr(sys, "stdin", Input("a b\n\nc d\nd\n"))
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(cli, "CHUNK_LINES", 2)
+        assert main(["tag", "--model", str(model_path), "--method", "hmm"]) == 0
+        assert out.getvalue() == "a/NN b/VM\n\nc/JJ d/QC\nd/QC\n"
+        assert written == ["", "", "a/NN b/VM\n\n", "a/NN b/VM\n\n",
+                           "a/NN b/VM\n\nc/JJ d/QC\nd/QC\n"]
+
+
 class TestBadModel:
     """A model file that disagrees with itself ends in one error line, exit 1."""
 
@@ -295,6 +353,24 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err == "error: empty gold corpus\n"
+
+    @pytest.mark.parametrize("style", ["plain", "tsv"])
+    @pytest.mark.parametrize("method", ["unigram", "bigram", "trigram", "hmm"])
+    def test_report_of_each_sentence_tagged_alone(self, model_path, tmp_path, capsys,
+                                                  style, method):
+        import statpos
+
+        text = "a/NN b/VM c/JJ\nc/JJ d/QC\nd/QC\na/NN d/QC a/NN b/VM\nb/VM zzz/NN\n"
+        gold_path = tmp_path / "gold.txt"
+        gold_path.write_text(text, encoding="utf-8")
+        model = statpos.load_model(model_path)
+        gold, _ = statpos.load_corpus(gold_path, model.tagset)
+        config = statpos.TaggerConfig(method=method)
+        predicted = [statpos.tag_sentence([w for w, _ in s], model, config) for s in gold]
+        code, out, _ = run(capsys, ["eval", "--model", str(model_path), "--method", method,
+                                    "--gold", str(gold_path), "--style", style])
+        assert code == 0
+        assert out == evaluation.format_report(evaluation.evaluate(gold, predicted), style=style)
 
     def test_missing_flags(self, capsys):
         code, _, err = run(capsys, ["eval", "--style", "plain"])
@@ -530,3 +606,30 @@ class TestSaveLoadParity:
                 statpos.tag_sentence(line.split(), model, config)) + "\n"
             for line in ["a b", "c d a"])
         assert out_path.read_text(encoding="utf-8") == expected
+
+
+class TestImports:
+    def test_numpy_only_for_decoding(self, model_path, tmp_path):
+        # train, eval --counts and probe emit|trans|tri|lex never decode, so
+        # they run without importing numpy
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(TRAIN, encoding="utf-8")
+        runs = [["train", "--corpus", str(corpus), "--model", str(tmp_path / "m.txt")],
+                ["eval", "--counts", "3", "4"],
+                ["probe", "--model", str(model_path), "emit", "a", "NN"],
+                ["probe", "--model", str(model_path), "trans", "NN", "VM"],
+                ["probe", "--model", str(model_path), "tri", "NN", "VM", "JJ"],
+                ["probe", "--model", str(model_path), "lex", "a"]]
+        code = ("import sys, statpos\n"
+                "from statpos.cli import main\n"
+                f"for argv in {runs!r}:\n"
+                "    assert main(argv) == 0, argv\n"
+                "assert 'numpy' not in sys.modules\n"
+                "statpos.tag_sentence\n"
+                "assert 'numpy' in sys.modules\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from statpos import kernels
-from statpos.kernels import TIE_TOL, _first_argmax
+from statpos.kernels import TIE_TOL
+
+
+def _first_argmax(values):
+    """The tie-break rule: the smallest index within TIE_TOL of the maximum."""
+    return int(np.argmax(values >= np.max(values) - TIE_TOL))
 
 
 @pytest.mark.parametrize("values,expected", [
@@ -16,7 +21,13 @@ from statpos.kernels import TIE_TOL, _first_argmax
     ([-1.0, math.nan, 0.0], 0),                 # NaN: nothing reaches the max
 ])
 def test_first_argmax_picks_smallest_index_of_the_maximum(values, expected):
-    assert _first_argmax(np.array(values)) == expected
+    # the rule itself, and the kernel's choice of a one-word sentence's tag,
+    # whose scores are the start scores alone
+    values = np.array(values)
+    assert _first_argmax(values) == expected
+    T = len(values)
+    zeros = np.zeros((1, T))
+    assert kernels.viterbi(zeros, values, np.zeros((T, T)), zeros[0])[0] == [expected]
 
 
 def _path_score_bigram(path, emit, start, trans, end):
@@ -162,3 +173,55 @@ def test_long_sentences_match_the_stepwise_walk(order, block, monkeypatch):
         marginal_path, marginal_score, marginal_margins = kernels.max_marginals(*args)
         assert (marginal_path, marginal_score) == (path, score)
         assert np.array_equal(marginal_margins, margins)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("order", ["bigram", "trigram"])
+def test_batches_match_the_stepwise_walk(order, block, monkeypatch):
+    # Batches of up to 12 sentences of 1..300 words that share one model's
+    # tables, with repeated lengths, logs rounded to 0.1 for exact ties,
+    # 15% -inf entries and one sentence whose every path scores -inf.  Laid
+    # out longest first and right-aligned, each sentence's path and score
+    # must be bit-identical to its own step-wise decoding.
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_CELLS", block)
+    rng = np.random.default_rng(13)
+    for _ in range(8):
+        T = int(rng.integers(1, 8))
+        B = int(rng.integers(1, 13))
+        lengths = sorted(rng.choice([1, 2, 5, 40, 41, 300], size=B).tolist(), reverse=True)
+        shapes = ([(T,), (T, T), (T,)] if order == "bigram"
+                  else [(T,), (T + 1, T, T), (T + 1, T)])
+        start, trans, end = [np.round(np.log(rng.uniform(0.1, 1.0, shape)), 1)
+                             for shape in shapes]
+        for table in (start, trans, end):
+            table[rng.uniform(size=table.shape) < 0.15] = -np.inf
+        emits = [np.round(np.log(rng.uniform(0.1, 1.0, (m, T))), 1) for m in lengths]
+        for e in emits:
+            e[rng.uniform(size=e.shape) < 0.15] = -np.inf
+        emits[rng.integers(B)][0] = -np.inf
+        args = (start, trans, end)
+        if order == "trigram":
+            _share_rows(rng, trans)
+            args = _compressed((emits[0], start, trans, end))[1:]
+        n = lengths[0]
+        emit = np.full((n, B, T), np.nan)           # padding is never read
+        for b, e in enumerate(emits):
+            emit[n - len(e):, b] = e
+        paths, scores = kernels.viterbi(emit, *args, lengths)
+        expected = [_stepwise_kernel(e, start, trans, end)[:2] for e in emits]
+        assert paths == [p for p, _ in expected]
+        assert scores == [s for _, s in expected]
+
+
+def test_each_step_covers_exactly_the_live_sentences():
+    # step i of the backward pass computes position i for the sentences that
+    # have one there, a prefix of the longest-first batch, and no padding
+    assert [(a, list(s)) for a, s in kernels._runs([5, 5, 3, 1], 5)] == [(3, [3, 2]), (2, [1, 0])]
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        lengths = sorted(rng.integers(1, 30, size=int(rng.integers(1, 9))).tolist(), reverse=True)
+        n = lengths[0]
+        steps = [(i, a) for a, run in kernels._runs(lengths, n) for i in run]
+        assert [i for i, _ in steps] == list(range(n - 2, -1, -1))
+        assert all(a == sum(m >= n - i for m in lengths) for i, a in steps)

@@ -18,6 +18,7 @@ from statpos import (
     p_bigram_transition,
     p_trigram_transition,
     score_sequence,
+    tag_corpus,
     tag_sentence,
 )
 from statpos import counts, kernels, taggers
@@ -477,6 +478,78 @@ class TestTables:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestTagCorpus:
+    """tag_corpus returns what tag_sentence returns for each sentence, tie-breaks
+    included, however the sentences fall into batches."""
+
+    METHODS = ("unigram",) + DP_METHODS
+
+    @staticmethod
+    def corpus(rng, lengths):
+        return [[random_sentence(rng, max_len=1)[0] for _ in range(n)] for n in lengths]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_mixed_lengths(self, method):
+        # lengths 1..500 with repeats, in no order by length
+        rng = make_rng(17)
+        lengths = [3, 500, 1, 17, 17, 250, 1, 499, 3, 3, 64, 2, 500, 120]
+        for _ in range(3):
+            model, _ = random_model(rng)
+            sentences = self.corpus(rng, lengths)
+            assert tag_corpus(sentences, model, cfg(method)) == [
+                tag_sentence(s, model, cfg(method)) for s in sentences]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_ties(self, method, monkeypatch):
+        # logs rounded to 0.5, so that distinct paths tie exactly
+        monkeypatch.setattr(taggers, "_log",
+                            lambda p: round(math.log(p) * 2) / 2 if p > 0 else -math.inf)
+        rng = make_rng(23)
+        for _ in range(6):
+            model, _ = random_model(rng)
+            sentences = self.corpus(rng, [rng.randint(1, 40) for _ in range(12)])
+            assert tag_corpus(sentences, model, cfg(method)) == [
+                tag_sentence(s, model, cfg(method)) for s in sentences]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_path_impossible_inside_a_batch(self, method):
+        # unsmoothed, every path of "b b" scores -inf and decodes to all
+        # zeros, whatever the sentences around it
+        m = model_from(["a/NN b/VM b/VM", "c/JJ b/VM"], Tagset(["JJ", "NN", "VM"]))
+        c = cfg(method, RAW)
+        sentences = [["a", "b", "b"], ["b", "b"], ["c", "b"], ["a", "b", "b", "b"], ["a"]]
+        tagged = tag_corpus(sentences, m, c)
+        assert tagged == [tag_sentence(s, m, c) for s in sentences]
+        if method != "unigram":
+            assert tagged[1] == [("b", "JJ"), ("b", "JJ")]
+            assert tagged[0] == [("a", "NN"), ("b", "VM"), ("b", "VM")]
+
+    @pytest.mark.parametrize("cells", [1, 40, 300, 5000])
+    @pytest.mark.parametrize("method", DP_METHODS)
+    def test_small_batches(self, method, cells, monkeypatch):
+        # a small cap splits the corpus into batches mid-way
+        monkeypatch.setattr(taggers, "BATCH_CELLS", cells)
+        rng = make_rng(31)
+        model, _ = random_model(rng)
+        sentences = self.corpus(rng, [5, 1, 30, 7, 7, 2, 60, 30, 1, 12])
+        assert tag_corpus(sentences, model, cfg(method)) == [
+            tag_sentence(s, model, cfg(method)) for s in sentences]
+
+    def test_empty(self, small_tagset):
+        m = model_from(["a/NN"], small_tagset)
+        assert tag_corpus([], m, cfg("hmm")) == []
+        with pytest.raises(EmptySentence):
+            tag_corpus([["a"], []], m, cfg("hmm"))
+
+    @pytest.mark.parametrize("method", DP_METHODS)
+    def test_batches_never_reach_the_timed_names(self, method, monkeypatch):
+        # the benchmark's kernel spans read one sentence's (n, T) emissions
+        calls = count_calls(monkeypatch, kernels, ("viterbi_bigram", "viterbi_trigram"))
+        model, _ = random_model(make_rng(5))
+        tag_corpus([["a", "b", "c"], ["c", "oov1"]], model, cfg(method))
+        assert calls == {}
 
 
 @pytest.mark.parametrize("method,kernel", [("unigram", None),
