@@ -231,7 +231,12 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 # within a section.
 
 _SECTIONS = ("tagset", "word_tag", "tag", "bigram", "trigram")
-_TERMINATOR = re.compile(r"count=([0-9]+)")
+# a terminator line, searched for from the start of a line
+_TERMINATOR = re.compile(r"^count=([0-9]+)$", re.MULTILINE)
+# width -> a section of well-formed records: width - 1 tab-separated keys,
+# then a count of ASCII digits, each record ending in "\n"
+_RECORDS = {width: re.compile(r"(?:%s[0-9]+\n)*" % (r"[^\t\n]*\t" * (width - 1)))
+            for width in (2, 3, 4)}
 
 
 def save_model(model, sink):
@@ -273,58 +278,75 @@ def _write_model(model, fh):
 
 
 def load_model(source):
+    """Read a model from a path or a text or byte stream.  Each section's
+    records are checked with one match over its text and split in one step;
+    a file that does not hold the format raises CorruptSection (or
+    FormatVersionMismatch for another version's header)."""
     with text_file(source) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines:
+        text = fh.read()
+    if not text:
         raise CorruptSection("empty model file")
-    header = lines[0]
+    # the lines split on "\n", as iterating the stream splits them
+    header, _, rest = text.partition("\n")
     if header != MODEL_HEADER:
         if header.startswith(_HEADER_PREFIX):
             version = header[len(_HEADER_PREFIX):]
             raise FormatVersionMismatch(f"unsupported model version {version!r}")
         raise CorruptSection(f"bad header {header!r}")
 
+    # name -> the text of the section's records, each line with its "\n"
     sections = {}
-    rest = iter(lines[1:])
-    for head in rest:
+    pos = 0
+    while pos < len(rest):
+        end = rest.find("\n", pos)
+        if end < 0:
+            end = len(rest)
+        head = rest[pos:end]
         if not (head.startswith("[") and head.endswith("]")):
             raise CorruptSection(f"expected section header, got {head!r}")
-        name, records = head[1:-1], []
-        for line in rest:
-            if line.startswith("count=") and (terminator := _TERMINATOR.fullmatch(line)):
-                break
-            records.append(line.split("\t"))
-        else:
+        name = head[1:-1]
+        terminator = _TERMINATOR.search(rest, end + 1)
+        if terminator is None:
             raise CorruptSection(f"section {name!r} missing count terminator")
-        declared = int(terminator.group(1))
-        if declared != len(records):
-            raise CorruptSection(
-                f"section {name!r} declares {declared} records, found {len(records)}")
+        body = rest[end + 1:terminator.start()]
+        declared, found = int(terminator.group(1)), body.count("\n")
+        if declared != found:
+            raise CorruptSection(f"section {name!r} declares {declared} records, found {found}")
         if name not in _SECTIONS:
             raise CorruptSection(f"unknown section [{name}]")
         if name in sections:
             raise CorruptSection(f"repeated section [{name}]")
-        sections[name] = records
+        sections[name] = body
+        pos = terminator.end() + 1
 
     for name in _SECTIONS:
         if name not in sections:
             raise CorruptSection(f"missing section [{name}]")
 
+    def records(name, width):
+        """A section's records split into fields; raises for the first that
+        is not width fields, or whose count (the last of several) is not
+        ASCII digits."""
+        body = sections[name]
+        recs = [line.split("\t") for line in body[:-1].split("\n")] if body else []
+        for rec in recs:
+            if len(rec) != width or width > 1 and not (rec[-1].isascii() and rec[-1].isdigit()):
+                raise CorruptSection(f"bad record {rec!r}")
+        return recs
+
     def table(name, width):
         """{key: count} for a section, each key as written."""
-        out = {}
-        for rec in sections[name]:
-            if len(rec) != width or not (rec[-1].isascii() and rec[-1].isdigit()):
-                raise CorruptSection(f"bad record {rec!r}")
-            out[rec[0] if width == 2 else tuple(rec[:-1])] = int(rec[-1])
-        if len(out) != len(sections[name]):
+        body = sections[name]
+        if not _RECORDS[width].fullmatch(body):
+            records(name, width)  # raises for the first bad record
+        fields = body[:-1].replace("\n", "\t").split("\t")
+        keys = fields[0::2] if width == 2 else zip(*(fields[i::width] for i in range(width - 1)))
+        out = dict(zip(keys, map(int, fields[width - 1::width])))
+        if len(out) != body.count("\n"):
             raise CorruptSection(f"section [{name}] repeats a key")
         return out
 
-    for rec in sections["tagset"]:
-        if len(rec) != 1:
-            raise CorruptSection(f"bad record {rec!r}")
-    model = CountsModel(Tagset(rec[0] for rec in sections["tagset"]),
+    model = CountsModel(Tagset(rec[0] for rec in records("tagset", 1)),
                         table("word_tag", 3), table("trigram", 4))
     for name, width, derived in (("tag", 2, model.tag_count),
                                  ("bigram", 3, model.tag_bigram_count)):

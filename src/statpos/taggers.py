@@ -7,16 +7,19 @@ kept with the model and filled on first use: per method, the tables its
 kernel reads (the transitions of both orders from one numpy computation over
 count arrays, equal to the p_* values bit for bit; for the trigram only its
 distinct rows; for hmm the doubled interior, built once), and one float64
-row per row kind and word, shared by every unknown word.  tag_sentence and
-decode_with_trace share one path: stack the sentence's rows, then take the
-first maximum of each row (unigram) or run the order's Viterbi kernel
-(bigram, hmm, trigram).  tag_corpus returns what tag_sentence returns for
-each sentence of a list; for the Viterbi methods it lays the sentences' rows
-out longest first and right-aligned, in batches of at most BATCH_CELLS
-padded cells, and runs the same kernel once per batch.  score_sequence and
-brute_force_decode recompute the objective from the p_* functions and serve
-as the independent oracle in the test suite.  Ties are always broken in favor
-of the lexicographically smallest tag tuple.
+row per row kind and word: the rows of the known words a call lacks come
+from one numpy computation over their count matrix, again equal to the p_*
+values bit for bit, and one row from the p_* functions serves every unknown
+word.  tag_sentence and decode_with_trace share one path: stack the
+sentence's rows, then take the first maximum of each row (unigram) or run
+the order's Viterbi kernel (bigram, hmm, trigram).  tag_corpus returns what
+tag_sentence returns for each sentence of a list: the unigram takes the
+first maxima of all its rows at once, and the Viterbi methods lay the
+sentences' rows out longest first and right-aligned, in batches of at most
+BATCH_CELLS padded cells, and run the same kernel once per batch.
+score_sequence and brute_force_decode recompute the objective from the p_*
+functions and serve as the independent oracle in the test suite.  Ties are
+always broken in favor of the lexicographically smallest tag tuple.
 """
 
 import itertools
@@ -173,19 +176,75 @@ def trigram_tables(model, smoothing):
 
 # --- the tables of one (model, smoothing) and the one decoding path ---------
 
-def _rows(model, smoothing, tables, sentence, prob):
-    """The sentence's rows of prob over the labels, stacked; tables[prob]
-    keeps each word's row, under None for every unknown word."""
+def _emission_block(model, smoothing, labels, words):
+    """log P(word | tag) of known words, (W,T), from their count matrix with
+    the operations of p_word_given_tag in its order: bit for bit the values
+    of _log_emission."""
+    alpha = smoothing.alpha
+    V = len(model.vocabulary)
+    denom = np.array([model.tag_count.get(t, 0) + alpha * V for t in labels])
+    counts = _count_matrix(model, labels, words)
+    # the divisions by a zero denominator are discarded by the np.where
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _log_table(np.where(denom == 0, 0.0, (counts + alpha) / denom))
+
+
+def _lexical_block(model, smoothing, labels, words):
+    """P(tag | word) of known words, (W,T), with the operations of
+    p_tag_given_word: bit for bit the values of _unigram_lexical_prob."""
+    totals = np.array([model.word_count[w] for w in words], dtype=float)
+    return _count_matrix(model, labels, words) / totals[:, None]
+
+
+def _count_matrix(model, labels, words):
+    # counts below 2**53 convert to float64 exactly, so every operation on
+    # them rounds as the scalar one on the Python ints does
+    cells = map(model.word_tag_count.get, itertools.product(words, labels), itertools.repeat(0))
+    return np.fromiter(cells, float, len(words) * len(labels)).reshape(len(words), len(labels))
+
+
+# row kind (its scalar reference) -> the rows of known words from count arrays
+_BLOCKS = {_log_emission: _emission_block, _unigram_lexical_prob: _lexical_block}
+
+
+def _fill_rows(model, smoothing, tables, prob, words):
+    """Cache the rows of prob that words need and tables[prob] lacks: those
+    of the known words from one count-array step, and the one row of every
+    unknown word, under None, from prob itself."""
     labels = tables["labels"]
     cache = tables.setdefault(prob, {})
-    rows = []
-    for word in sentence:
-        key = word if word in model.vocabulary else None
-        row = cache.get(key)
-        if row is None:
-            row = cache[key] = np.array([prob(model, smoothing, word, t) for t in labels])
-        rows.append(row)
-    return np.concatenate(rows).reshape(len(rows), len(labels))
+    known = []
+    for word in dict.fromkeys(words):
+        if word in model.vocabulary:
+            if word not in cache:
+                known.append(word)
+        elif None not in cache:
+            cache[None] = np.array([prob(model, smoothing, word, t) for t in labels])
+    if known:
+        cache.update(zip(known, _BLOCKS[prob](model, smoothing, labels, known)))
+
+
+def _row_list(model, smoothing, tables, words, prob):
+    """Each word's row of prob over the labels; tables[prob] keeps each
+    word's row, under None for every unknown word, and the rows it lacks are
+    filled first, in one step."""
+    vocabulary = model.vocabulary
+    cache = tables.get(prob, {})
+    try:
+        return [cache[w if w in vocabulary else None] for w in words]
+    except KeyError:
+        _fill_rows(model, smoothing, tables, prob, words)
+        cache = tables[prob]
+        return [cache[w if w in vocabulary else None] for w in words]
+
+
+def _stack(rows):
+    return np.concatenate(rows).reshape(len(rows), -1)
+
+
+def _rows(model, smoothing, tables, sentence, prob):
+    """The sentence's rows of prob over the labels, stacked."""
+    return _stack(_row_list(model, smoothing, tables, sentence, prob))
 
 
 def _tables(model, smoothing):
@@ -251,16 +310,29 @@ def tag_sentence(sentence, model, config):
 
 def tag_corpus(sentences, model, config):
     """Tag a list of sentences; equal to [tag_sentence(s, model, config) for
-    s in sentences], tie-breaks included.  The Viterbi methods decode the
-    sentences longest first, in batches of at most BATCH_CELLS padded cells,
-    one kernel call per batch."""
+    s in sentences], tie-breaks included.  The unigram tags every word in
+    one step; the Viterbi methods decode the sentences longest first, in
+    batches of at most BATCH_CELLS padded cells, one kernel call per batch."""
     if not all(sentences):
         raise EmptySentence()
-    if config.method == "unigram":
-        return [tag_sentence(s, model, config) for s in sentences]
+    if not sentences:
+        return []
     smoothing = config.smoothing
     tables = _tables(model, smoothing)
     labels = tables["labels"]
+    words = list(itertools.chain.from_iterable(sentences))
+    lengths = [len(s) for s in sentences]
+    # sentence j is words[bounds[j]:bounds[j + 1]]
+    bounds = np.cumsum([0] + lengths).tolist()
+    if config.method == "unigram":
+        probs = _rows(model, smoothing, tables, words, _unigram_lexical_prob)
+        # as in _decode: a sentence with a word impossible under every tag
+        # decodes to all zeros
+        possible = np.logical_and.reduceat(probs.any(axis=1), bounds[:-1])
+        path = np.where(np.repeat(possible, lengths), probs.argmax(axis=1), 0)
+        pairs = iter(zip(words, [labels[t] for t in path.tolist()]))
+        return [list(itertools.islice(pairs, len(s))) for s in sentences]
+    rows = _row_list(model, smoothing, tables, words, _log_emission)
     start, trans, end = _kernel_tables(model, smoothing, tables, config.method)
     T = len(labels)
     # padded cells per position and sentence: beta and the backpointers
@@ -275,9 +347,8 @@ def tag_corpus(sentences, model, config):
         # right-aligned at position n - 1, position-major
         emit = np.empty((n, len(batch), T))
         for b, j in enumerate(batch):
-            emit[n - len(sentences[j]):, b] = _rows(model, smoothing, tables, sentences[j],
-                                                   _log_emission)
-        paths, _ = kernels.viterbi(emit, start, trans, end, [len(sentences[j]) for j in batch])
+            emit[n - len(sentences[j]):, b] = _stack(rows[bounds[j]:bounds[j + 1]])
+        paths, _ = kernels.viterbi(emit, start, trans, end, [lengths[j] for j in batch])
         for j, path in zip(batch, paths):
             tagged[j] = [(w, labels[t]) for w, t in zip(sentences[j], path)]
     return tagged

@@ -30,6 +30,7 @@ from statpos import counts
 from statpos.tagset import END, START
 
 from conftest import model_from
+from line_parser import load_model_by_lines
 from randgen import make_rng, random_model
 
 RAW = SmoothingConfig(alpha=0.0, lambda3=1.0, lambda2=0.0, lambda1=0.0)
@@ -548,6 +549,136 @@ class TestModelConsistency:
     def test_empty_file(self):
         with pytest.raises(CorruptSection, match="empty model file"):
             load_model(io.StringIO(""))
+
+
+def parse_outcome(parse, source):
+    """What a parser makes of a model file: the model's tables, or the type
+    and message of the exception it raises."""
+    try:
+        model = parse(source)
+    except Exception as e:
+        return type(e), str(e)
+    return (list(model.tagset), model.word_tag_count, model.tag_trigram_count,
+            model.tag_count, model.tag_bigram_count, model.total_tokens)
+
+
+def _lines_with(text, pick):
+    lines = text.split("\n")
+    return lines, [i for i, line in enumerate(lines) if pick(line)]
+
+
+def _edit_line(text, pick, edit, k):
+    """text with edit applied to the (k mod n)-th of the n lines that pick
+    selects, unchanged if none does; edit returns the replacement lines."""
+    lines, chosen = _lines_with(text, pick)
+    if not chosen:
+        return text
+    i = chosen[k % len(chosen)]
+    lines[i:i + 1] = edit(lines[i], k // len(chosen))
+    return "\n".join(lines)
+
+
+def _is_record(line):
+    return "\t" in line
+
+
+def _is_terminator(line):
+    return line.startswith("count=") and line[6:].isdigit()
+
+
+def _drop_tab(line, k):
+    tabs = [j for j, c in enumerate(line) if c == "\t"]
+    j = tabs[k % len(tabs)]
+    return [line[:j] + line[j + 1:]]
+
+
+def _recount(line, k):
+    return [f"count={max(0, int(line[6:]) + (1 if k % 2 else -1))}"]
+
+
+def _repeat_key(text, k):
+    # the copy carries another count, and the terminator counts it
+    lines, chosen = _lines_with(text, _is_record)
+    if not chosen:
+        return text
+    i = chosen[k % len(chosen)]
+    end = next(j for j in range(i, len(lines)) if _is_terminator(lines[j]))
+    lines[end] = f"count={int(lines[end][6:]) + 1}"
+    lines.insert(i, lines[i].rpartition("\t")[0] + f"\t{k % 5}")
+    return "\n".join(lines)
+
+
+# name -> edit(text, k): the mutations of a well-formed model file
+MUTATIONS = {
+    "drop-tab": lambda text, k: _edit_line(text, _is_record, _drop_tab, k),
+    "extra-tab": lambda text, k: _edit_line(
+        text, lambda line: True, lambda line, k: [line[:k % (len(line) + 1)] + "\t"
+                                                  + line[k % (len(line) + 1):]], k),
+    "bad-count": lambda text, k: _edit_line(
+        text, _is_record, lambda line, k: [line.rpartition("\t")[0] + "\t"
+                                           + ("", "\u0661", "+3")[k % 3]], k),
+    "repeated-key": _repeat_key,
+    "wrong-count": lambda text, k: _edit_line(text, _is_terminator, _recount, k),
+    "no-terminator": lambda text, k: _edit_line(text, _is_terminator, lambda line, k: [], k),
+    "trailing-blank-line": lambda text, k: text + "\n",
+    "no-final-newline": lambda text, k: text[:-1] if text.endswith("\n") else text,
+    "trailing-text": lambda text, k: text + "[tag]\n"[:1 + k % 6],
+}
+
+
+class TestLoadModelAgainstLineParser:
+    """load_model parses each section whole; it must agree with the
+    line-by-line parser on every input, its errors included."""
+
+    def assert_agree(self, text):
+        expected = parse_outcome(load_model_by_lines, io.StringIO(text))
+        assert parse_outcome(load_model, io.StringIO(text)) == expected
+        return expected
+
+    @given(st.lists(st.lists(st.tuples(model_word, st.sampled_from(["JJ", "NN", "VM"])),
+                             min_size=1, max_size=4),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 1000)),
+                    max_size=3))
+    @example([[("a", "NN")]], [("bad-count", 1)])
+    @example([[("count=1", "NN")]], [("no-terminator", 0)])
+    @example([[("a", "NN")]], [("trailing-blank-line", 0)])
+    @example([[("a", "NN")]], [("no-final-newline", 0)])
+    def test_mutated_files(self, corpus, mutations):
+        buf = io.StringIO()
+        save_model(build_counts(corpus, Tagset(["JJ", "NN", "VM"])), buf)
+        text = buf.getvalue()
+        for name, k in mutations:
+            text = MUTATIONS[name](text, k)
+        self.assert_agree(text)
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_each_mutation_is_rejected_alike(self, name):
+        for k in range(40):
+            text = MUTATIONS[name](GOLDEN_MODEL, k)
+            outcome = self.assert_agree(text)
+            if name == "no-final-newline":
+                assert outcome == parse_outcome(load_model, io.StringIO(GOLDEN_MODEL))
+            else:
+                assert outcome[0] is CorruptSection, (k, outcome)
+
+    def test_crlf_file(self, tmp_path):
+        # a path and a byte stream are read with universal newlines
+        crlf = GOLDEN_MODEL.replace("\n", "\r\n").encode("utf-8")
+        path = tmp_path / "model.txt"
+        path.write_bytes(crlf)
+        golden = parse_outcome(load_model, io.StringIO(GOLDEN_MODEL))
+        for source in (lambda: path, lambda: io.BytesIO(crlf)):
+            assert parse_outcome(load_model, source()) == golden
+            assert parse_outcome(load_model_by_lines, source()) == golden
+        # a text stream that keeps "\r" is not a model file, for either parser
+        assert self.assert_agree(crlf.decode("utf-8"))[0] is FormatVersionMismatch
+
+    def test_byte_stream(self):
+        source = GOLDEN_MODEL.encode("utf-8")
+        assert (parse_outcome(load_model, io.BytesIO(source))
+                == parse_outcome(load_model_by_lines, io.BytesIO(source))
+                == parse_outcome(load_model, io.StringIO(GOLDEN_MODEL)))
 
 
 class TestSmoothingConfig:

@@ -29,6 +29,7 @@ from conftest import model_from
 from randgen import WORD_POOL, make_rng, random_model, random_sentence
 
 DP_METHODS = ("bigram", "trigram", "hmm")
+METHODS = ("unigram",) + DP_METHODS
 RAW = SmoothingConfig(alpha=0.0, lambda3=1.0, lambda2=0.0, lambda1=0.0)
 
 
@@ -480,6 +481,66 @@ class TestTables:
             gc.enable()
 
 
+class TestRows:
+    """The rows of known words come from count arrays, bit for bit the
+    values of the scalar reference; the unknown-word row from the reference
+    itself; a warm call only reads the cache."""
+
+    SMOOTHINGS = TestTables.SMOOTHINGS + (SmoothingConfig(alpha=1e-9),)
+    KINDS = (taggers._log_emission, taggers._unigram_lexical_prob)
+
+    def test_rows_equal_the_reference(self):
+        rng = make_rng(43)
+        models = [random_model(rng)[0] for _ in range(100)]
+        tagset = default_tagset()
+        # the paper's tagset, most of whose tags go unseen
+        models.append(build_counts([[(w, rng.choice(tagset.sorted_labels())) for w in WORD_POOL]
+                                    for _ in range(6)], tagset))
+        words = WORD_POOL + ["oov0", "oov1"]
+        oov = 0
+        for model in models:
+            labels = model.tagset.sorted_labels()
+            oov += sum(w not in model.vocabulary for w in WORD_POOL)
+            forced = SmoothingConfig(unknown_policy=labels[-1])
+            for smoothing in self.SMOOTHINGS + (forced,):
+                for prob in self.KINDS:
+                    got = taggers._rows(model, smoothing, {"labels": labels}, words, prob)
+                    expected = np.array([[prob(model, smoothing, w, t) for t in labels]
+                                         for w in words])
+                    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert oov > 20
+
+    def test_known_words_make_no_scalar_emission_calls(self, monkeypatch):
+        calls = count_calls(monkeypatch, taggers, ("p_word_given_tag", "p_tag_given_word"))
+        model, _ = random_model(make_rng(5))
+        known = [w for w in WORD_POOL if w in model.vocabulary]
+        for method in METHODS:
+            for smoothing in self.SMOOTHINGS:
+                c = cfg(method, smoothing)
+                tag_sentence(known, model, c)
+                tag_corpus([known[::-1], known[:1]], model, c)
+                decode_with_trace(known, model, c)
+        assert calls == {}
+        # one row serves every unknown word
+        tag_corpus([["oov1", known[0]], ["oov2"]], model, cfg("hmm"))
+        tag_sentence(["oov3"], model, cfg("bigram"))
+        assert calls == {"p_word_given_tag": len(model.tagset)}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_warm_calls_only_read_the_cache(self, method, monkeypatch):
+        calls = count_calls(monkeypatch, taggers, ("_fill_rows",))
+        model, _ = random_model(make_rng(5))
+        sentences = [["a", "oov1", "b"], ["c", "a"], ["oov2"]]
+        tag_corpus(sentences, model, cfg(method))
+        assert calls == {"_fill_rows": 1}
+        tag_corpus(sentences[::-1], model, cfg(method))
+        for s in sentences:
+            tag_sentence(s, model, cfg(method))
+        assert calls == {"_fill_rows": 1}
+        tag_sentence(["d", "a"], model, cfg(method))
+        assert calls == {"_fill_rows": 2 if "d" in model.vocabulary else 1}
+
+
 class TestTagCorpus:
     """tag_corpus returns what tag_sentence returns for each sentence, tie-breaks
     included, however the sentences fall into batches."""
@@ -525,6 +586,17 @@ class TestTagCorpus:
         if method != "unigram":
             assert tagged[1] == [("b", "JJ"), ("b", "JJ")]
             assert tagged[0] == [("a", "NN"), ("b", "VM"), ("b", "VM")]
+
+    def test_unigram_impossible_word_zeroes_only_its_sentence(self):
+        # unsmoothed, an unknown word is impossible under every tag when no
+        # open-class tag occurs
+        m = model_from(["a/PSP b/CC", "b/PSP"], Tagset(["CC", "PSP"]))
+        c = cfg("unigram", RAW)
+        sentences = [["a", "zzz"], ["a"], ["b", "a", "a"], ["zzz"], ["a", "a", "zzz", "a"]]
+        tagged = tag_corpus(sentences, m, c)
+        assert tagged == [tag_sentence(s, m, c) for s in sentences]
+        assert tagged[:2] == [[("a", "CC"), ("zzz", "CC")], [("a", "PSP")]]
+        assert tagged[2] == [("b", "CC"), ("a", "PSP"), ("a", "PSP")]
 
     @pytest.mark.parametrize("cells", [1, 40, 300, 5000])
     @pytest.mark.parametrize("method", DP_METHODS)
