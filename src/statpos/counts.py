@@ -97,6 +97,13 @@ class CountsModel:
         self.tagset = tagset
         self.word_tag_count = dict(word_tag_count)
         self.tag_trigram_count = dict(tag_trigram_count)
+        # a record counts an event seen at least once (save_model writes no
+        # zero); a zero would leave a word's P(tag | word) nothing to divide by
+        for name, table in (("word_tag", self.word_tag_count),
+                            ("trigram", self.tag_trigram_count)):
+            if table and min(table.values()) < 1:
+                key = next(key for key, n in table.items() if n < 1)
+                raise CorruptSection(f"count {table[key]} below 1 in {name} {key}")
         word_count, tag_count, bigram = {}, {}, {}
         for (word, tag), n in self.word_tag_count.items():
             word_count[word] = word_count.get(word, 0) + n

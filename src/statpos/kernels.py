@@ -31,12 +31,14 @@ pinned to each tag (fwd leaves out the emission at i, which beta holds).
 Path reconstruction picks, at every step, the smallest tag index among the
 candidates that achieve the maximum (within TIE_TOL), so the returned
 sequence is the lexicographically smallest maximizer.  When every path of a
-sentence scores -inf they all tie, and its path is all zeros.  The first
-order takes all backpointers after the backward pass, one whole-array step
-per run of positions that share a live prefix, in blocks of BLOCK_CELLS
-candidates.  The second order takes them in the backward pass, one per
-sentence, row and position from the candidates it already holds, so the
-path walk only looks them up.
+sentence scores -inf they all tie, and its path is all zeros.  The maximum
+over a state's candidates is taken once, in the backward pass.  The first
+order keeps the maxima it stores, top (beta[i] = emit[i] + top[i]), and
+reads its backpointers against them after the pass, one whole-array step per
+run of positions that share a live prefix, in blocks of BLOCK_CELLS
+candidates.  The second order takes its backpointers in the backward pass,
+one per sentence, row and position from the candidates it already holds, so
+the path walk only looks them up.
 
 All inputs are float64 log-probability tables; tag indices follow the
 lexicographic ordering of the tag labels.
@@ -65,24 +67,28 @@ def _runs(lengths, n):
 
 
 def _backward(emit, trans, end, lengths):
-    """beta (n,B,...), set at the live positions only, and, for the second
-    order, the backpointers bp (n,B,K): bp[i, b, k] is the first best tag at
-    position i of sentence b after a state whose row is k."""
+    """beta (n,B,...), set at the live positions only, and, for the first
+    order, the maxima top (n,B,T) with beta[i] = emit[i] + top[i], or, for
+    the second order, the backpointers bp (n,B,K): bp[i, b, k] is the first
+    best tag at position i of sentence b after a state whose row is k."""
     n, B, T = emit.shape
     beta = np.empty((n, B) + end.shape)
     if end.ndim == 1:
         beta[n - 1] = emit[n - 1] + end
-        cand = np.empty((B,) + trans.shape)
+        top = np.empty((n, B, T))
+        # cand[b, c, s] = trans[s, c] + beta[i+1, b, c], laid out so that the
+        # max runs down the short axis c, which numpy does faster
+        trans = trans.T[None].copy()
+        cand = np.empty((B, T, T))
         for a, steps in _runs(lengths, n):
-            # views of the live prefix, so that each step indexes one integer;
-            # the max and the sum run over its contiguous 2-D and 1-D forms
-            nxt, c, flat = beta[:, :a, None], cand[:a], cand[:a].reshape(-1, T)
-            em, out = emit.reshape(n, -1)[:, :a * T], beta.reshape(n, -1)[:, :a * T]
+            # views of the live prefix, so that each step indexes one integer
+            nxt, em, out = beta[:, :a, :, None], emit[:, :a], beta[:, :a]
+            best, c = top[:, :a], cand[:a]
             for i in steps:
-                # max over the next tag c of trans[state, c] + beta[i+1, b, c]
                 np.add(trans, nxt[i + 1], out=c)
-                np.add(em[i], np.maximum.reduce(flat, axis=1), out=out[i])
-        return beta, None
+                np.maximum.reduce(c, axis=1, out=best[i])
+                np.add(em[i], best[i], out=out[i])
+        return beta, top
     # the emissions broadcast over the state's context
     emit = emit[:, :, None]
     beta[n - 1] = emit[n - 1] + end
@@ -105,8 +111,9 @@ def _backward(emit, trans, end, lengths):
     return beta, bp
 
 
-def _path(start, trans, beta, bp, lengths):
-    """The best path and its score of every sentence of the batch."""
+def _path(start, trans, beta, kept, lengths):
+    """The best path and its score of every sentence of the batch, from what
+    _backward returns: beta, and the maxima top or the backpointers bp."""
     n, B, T = beta.shape[0], beta.shape[1], beta.shape[-1]
     offsets = [n - m for m in lengths]
     # each sentence's first position, in its START context
@@ -116,25 +123,26 @@ def _path(start, trans, beta, bp, lengths):
     first = (totals >= best).argmax(axis=1).tolist()
     scores = [row[t] for row, t in zip(totals.tolist(), first)]
     paths = [[t] for t in first]
-    if bp is None:
+    if not isinstance(trans, tuple):
         # rows[i][b][s] is the first best tag at position i of sentence b
-        # after tag s, for the sentences live at i - 1
+        # after tag s, for the sentences live at i - 1: the first c with
+        # trans[s, c] + beta[i, b, c] within TIE_TOL of kept[i-1, b, s], the
+        # maximum of these candidates that the backward pass stored
         rows = [None] * n
+        trans = trans.T
         for a, steps in _runs(lengths, n):
             lo, hi = steps[-1] + 1, steps[0] + 2
             step = max(1, BLOCK_CELLS // (a * T * T))
             for p in range(lo, hi, step):
                 q = min(p + step, hi)
-                cand = trans + beta[p:q, :a, None]
-                best = np.maximum.reduce(cand, axis=3, keepdims=True)
-                best -= TIE_TOL
-                rows[p:q] = (cand >= best).argmax(axis=3).tolist()
+                best = kept[p - 1:q - 1, :a, None] - TIE_TOL
+                rows[p:q] = (trans + beta[p:q, :a, :, None] >= best).argmax(axis=2).tolist()
         for b, (path, o) in enumerate(zip(paths, offsets)):
             for row in rows[o + 1:]:
                 path.append(row[b][path[-1]])
     else:
         # the pair state s = previous tag * T + current tag, previous tag T for START
-        state_row, first_best = trans[2].tolist(), bp.item
+        state_row, first_best = trans[2].tolist(), kept.item
         for b, (path, o) in enumerate(zip(paths, offsets)):
             s = T * T + path[0]
             for i in range(o + 1, n):
@@ -168,10 +176,10 @@ def max_marginals(emit, start, trans, end):
     """Best path of one sentence, emit (n,T), its score, and margins (n,T):
     margins[i, t] is the best total score with position i pinned to tag t."""
     n, T = emit.shape
-    beta, bp = _backward(emit[:, None], trans, end, [n])
-    (path,), (score,) = _path(start, trans, beta, bp, [n])
+    beta, kept = _backward(emit[:, None], trans, end, [n])
+    (path,), (score,) = _path(start, trans, beta, kept, [n])
     beta = beta[:, 0]
-    if bp is not None:
+    if isinstance(trans, tuple):
         rows, _, state_row = trans
         trans = rows[state_row].reshape(-1, T, T)
     fwd = np.full(beta.shape, -np.inf)

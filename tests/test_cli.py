@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,32 @@ class TestBadModel:
         src.write_text("a b\n", encoding="utf-8")
         code, out, err = run(capsys, ["tag", "--model", str(bad), "--method", "bigram",
                                       "--input", str(src)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["tag", "--method", "unigram"], ["probe", "lex", "z"]],
+                             ids=["tag-unigram", "probe-lex"])
+    def test_zero_count_word(self, model_path, tmp_path, capsys, command):
+        # save_model never writes a zero count; a word counted only zero
+        # times would leave its P(tag | word) nothing to divide by
+        text = model_path.read_text(encoding="utf-8")
+        head, _, rest = text.partition("[word_tag]\n")
+        records, _, tail = rest.partition("count=")
+        declared, _, tail = tail.partition("\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{head}[word_tag]\n{records}z\tVM\t0\ncount={int(declared) + 1}\n{tail}",
+                       encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("a z\n", encoding="utf-8")
+        verb, *rest = command
+        argv = [verb, "--model", str(bad), *rest]
+        if verb == "tag":
+            argv += ["--input", str(src)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv)
+        assert caught == []
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

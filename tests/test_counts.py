@@ -617,6 +617,8 @@ MUTATIONS = {
     "bad-count": lambda text, k: _edit_line(
         text, _is_record, lambda line, k: [line.rpartition("\t")[0] + "\t"
                                            + ("", "\u0661", "+3")[k % 3]], k),
+    "zero-count": lambda text, k: _edit_line(
+        text, _is_record, lambda line, k: [line.rpartition("\t")[0] + "\t0"], k),
     "repeated-key": _repeat_key,
     "wrong-count": lambda text, k: _edit_line(text, _is_terminator, _recount, k),
     "no-terminator": lambda text, k: _edit_line(text, _is_terminator, lambda line, k: [], k),

@@ -150,20 +150,24 @@ def _stepwise_kernel(emit, start, trans, end):
 @pytest.mark.parametrize("order", ["bigram", "trigram"])
 def test_long_sentences_match_the_stepwise_walk(order, block, monkeypatch):
     # Up to 500 words and 8 tags, logs rounded to 0.1 for exact ties and 15%
-    # -inf entries; small blocks make the first-order walk cross block
+    # -inf entries; the last instances move entries TIE_TOL/2 or 2*TIE_TOL
+    # down, so that candidates sit that far below a maximum at many
+    # positions.  Small blocks make the first-order walk cross block
     # boundaries.  The second order decodes the distinct rows of a dense
     # table with shared rows, against the dense reference.  Paths, scores
     # and margins must be bit-identical.
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_CELLS", block)
     rng = np.random.default_rng(11)
-    for _ in range(25):
+    for near in [False] * 25 + [True] * 10:
         n, T = int(rng.integers(1, 501)), int(rng.integers(1, 9))
         shapes = ([(n, T), (T,), (T, T), (T,)] if order == "bigram"
                   else [(n, T), (T,), (T + 1, T, T), (T + 1, T)])
         tables = [np.round(np.log(rng.uniform(0.1, 1.0, shape)), 1) for shape in shapes]
         for table in tables:
             table[rng.uniform(size=table.shape) < 0.15] = -np.inf
+            if near:
+                table -= rng.choice([0, TIE_TOL / 2, 2 * TIE_TOL], size=table.shape)
         args = tables
         if order == "trigram":
             _share_rows(rng, tables[2])
@@ -180,13 +184,15 @@ def test_long_sentences_match_the_stepwise_walk(order, block, monkeypatch):
 def test_batches_match_the_stepwise_walk(order, block, monkeypatch):
     # Batches of up to 12 sentences of 1..300 words that share one model's
     # tables, with repeated lengths, logs rounded to 0.1 for exact ties,
-    # 15% -inf entries and one sentence whose every path scores -inf.  Laid
-    # out longest first and right-aligned, each sentence's path and score
-    # must be bit-identical to its own step-wise decoding.
+    # 15% -inf entries and one sentence whose every path scores -inf; the
+    # last batches move entries TIE_TOL/2 or 2*TIE_TOL down, for near-ties
+    # at many positions.  Laid out longest first and right-aligned, each
+    # sentence's path and score must be bit-identical to its own step-wise
+    # decoding.
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_CELLS", block)
     rng = np.random.default_rng(13)
-    for _ in range(8):
+    for near in [False] * 8 + [True] * 4:
         T = int(rng.integers(1, 8))
         B = int(rng.integers(1, 13))
         lengths = sorted(rng.choice([1, 2, 5, 40, 41, 300], size=B).tolist(), reverse=True)
@@ -200,6 +206,9 @@ def test_batches_match_the_stepwise_walk(order, block, monkeypatch):
         for e in emits:
             e[rng.uniform(size=e.shape) < 0.15] = -np.inf
         emits[rng.integers(B)][0] = -np.inf
+        if near:
+            for table in (start, trans, end, *emits):
+                table -= rng.choice([0, TIE_TOL / 2, 2 * TIE_TOL], size=table.shape)
         args = (start, trans, end)
         if order == "trigram":
             _share_rows(rng, trans)
