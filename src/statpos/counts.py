@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import (
     CorruptSection,
     EmptyCorpus,
+    EmptySentence,
     FormatVersionMismatch,
     InvalidConfig,
     IoFailure,
@@ -110,8 +111,10 @@ class CountsModel:
             tag_count[tag] = tag_count.get(tag, 0) + n
         for key, n in self.tag_trigram_count.items():
             a, b, c = key
-            # START opens a trigram only in the context, second only after a first START
-            if _sentinel_out_of_place((a, b), c) or b == START != a:
+            # START opens a trigram only in the context, second only after a
+            # first START, and END never follows two STARTs: a padded
+            # sentence holds at least one tag
+            if _sentinel_out_of_place((a, b), c) or b == START and (a != START or c == END):
                 raise CorruptSection(f"sentinel out of place in trigram {key}")
             bigram[b, c] = bigram.get((b, c), 0) + n
         # checked once per distinct tag, at most T+2 of them, not per record
@@ -141,12 +144,16 @@ class CountsModel:
 
 def build_counts(corpus, tagset):
     """Count the word/tag pairs and the padded tag trigrams of a list of
-    tagged sentences; CountsModel derives the other tables from them."""
+    tagged sentences, none of them empty; CountsModel derives the other
+    tables from them."""
     if not corpus:
         raise EmptyCorpus("empty corpus")
     word_tag = Counter()
     trigram = Counter()
     for sentence in corpus:
+        if not sentence:
+            # tag_sentence refuses it too; its padding would count (START, START, END)
+            raise EmptySentence("empty sentence in the corpus")
         tags = [START, START]
         for word, tag in sentence:
             word_tag[word, tag] += 1
@@ -238,8 +245,6 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 # within a section.
 
 _SECTIONS = ("tagset", "word_tag", "tag", "bigram", "trigram")
-# a terminator line, searched for from the start of a line
-_TERMINATOR = re.compile(r"^count=([0-9]+)$", re.MULTILINE)
 # width -> a section of well-formed records: width - 1 tab-separated keys,
 # then a count of ASCII digits, each record ending in "\n"
 _RECORDS = {width: re.compile(r"(?:%s[0-9]+\n)*" % (r"[^\t\n]*\t" * (width - 1)))
@@ -312,11 +317,22 @@ def load_model(source):
         if not (head.startswith("[") and head.endswith("]")):
             raise CorruptSection(f"expected section header, got {head!r}")
         name = head[1:-1]
-        terminator = _TERMINATOR.search(rest, end + 1)
-        if terminator is None:
-            raise CorruptSection(f"section {name!r} missing count terminator")
-        body = rest[end + 1:terminator.start()]
-        declared, found = int(terminator.group(1)), body.count("\n")
+        # the terminator: the first line after the header that is "count="
+        # and ASCII digits; rest[line] is the "\n" that ends the line before it
+        line = end
+        while True:
+            line = rest.find("\ncount=", line)
+            if line < 0:
+                raise CorruptSection(f"section {name!r} missing count terminator")
+            stop = rest.find("\n", line + 1)
+            if stop < 0:
+                stop = len(rest)
+            digits = rest[line + 7:stop]
+            if digits.isascii() and digits.isdigit():
+                break
+            line = stop
+        body = rest[end + 1:line + 1]
+        declared, found = int(digits), body.count("\n")
         if declared != found:
             raise CorruptSection(f"section {name!r} declares {declared} records, found {found}")
         if name not in _SECTIONS:
@@ -324,7 +340,7 @@ def load_model(source):
         if name in sections:
             raise CorruptSection(f"repeated section [{name}]")
         sections[name] = body
-        pos = terminator.end() + 1
+        pos = stop + 1
 
     for name in _SECTIONS:
         if name not in sections:

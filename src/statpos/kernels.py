@@ -36,9 +36,13 @@ over a state's candidates is taken once, in the backward pass.  The first
 order keeps the maxima it stores, top (beta[i] = emit[i] + top[i]), and
 reads its backpointers against them after the pass, one whole-array step per
 run of positions that share a live prefix, in blocks of BLOCK_CELLS
-candidates.  The second order takes its backpointers in the backward pass,
-one per sentence, row and position from the candidates it already holds, so
-the path walk only looks them up.
+candidates.  The second order keeps the candidates and maxima of a block of
+positions, at most BLOCK_CELLS candidates unless one position holds more, and
+takes the block's backpointers (one per sentence, row and position) in one
+whole-array step once the block is done: each position runs only the gather,
+the add, the maximum and the step to beta, and the path walk only looks the
+backpointers up.  Both orders compare the same floats that a first maximum
+taken at each position would.
 
 All inputs are float64 log-probability tables; tag indices follow the
 lexicographic ordering of the tag labels.
@@ -51,8 +55,10 @@ import numpy as np
 # order drift by ~1e-13; genuinely distinct paths differ by far more.
 TIE_TOL = 1e-10
 
-# Most candidates the first-order path walk holds at once (2 MB of float64).
-BLOCK_CELLS = 1 << 18
+# Most candidates that one block holds, in the first-order path walk and in
+# the second-order backward pass (256 KB of float64, so that a block stays in
+# L2 cache).
+BLOCK_CELLS = 1 << 15
 
 
 def _runs(lengths, n):
@@ -93,21 +99,32 @@ def _backward(emit, trans, end, lengths):
     emit = emit[:, :, None]
     beta[n - 1] = emit[n - 1] + end
     rows, ctx, state_row = trans
+    K = len(ctx)
     # cand[b, c, k] = rows[k, c] + beta[i+1, b, ctx[k], c]: row k's candidates
     # read the beta row of its current tag, laid out so that the max and the
     # first maximum run down the short axis c, which numpy does faster
     rows = rows.T[None].copy()      # (1,T,K): one sentence's step adds without broadcasting
     gather = ctx * T + np.arange(T)[:, None]
+    state_row = state_row.reshape(-1, T)    # the row of each (previous, current) pair
     flat = beta.reshape(n, B, -1)
-    cand = np.empty((B,) + rows.shape[1:])
-    bp = np.empty((n, B, len(ctx)), dtype=np.intp)
+    bp = np.empty((n, B, K), dtype=np.intp)
+    # each run's positions in blocks of at most BLOCK_CELLS candidates (or one
+    # position), kept with their maxima until the block's backpointers are taken
     for a, steps in _runs(lengths, n):
-        fl, em, out, bpa, c = flat[:, :a], emit[:, :a], beta[:, :a], bp[:, :a], cand[:a]
-        for i in steps:
-            np.add(rows, fl[i + 1].take(gather, axis=1), out=c)
-            best = np.maximum.reduce(c, axis=1, keepdims=True)
-            (c >= best - TIE_TOL).argmax(axis=1, out=bpa[i + 1])
-            np.add(em[i], best.take(state_row, axis=2).reshape(a, -1, T), out=out[i])
+        fl, em, out = flat[:, :a], emit[:, :a], beta[:, :a]
+        step = min(len(steps), max(1, BLOCK_CELLS // (a * T * K)))
+        c, best = np.empty((step, a, T, K)), np.empty((step, a, K))
+        for p in range(0, len(steps), step):
+            # positions lo..lo+m-1, walked down: c[i - lo] holds position i's candidates
+            block = steps[p:p + step]
+            lo, m = block[-1], len(block)
+            for i, ci, bi in zip(block, c[m - 1::-1], best[m - 1::-1]):
+                np.add(rows, fl[i + 1].take(gather, axis=1), out=ci)
+                np.maximum.reduce(ci, axis=1, out=bi)
+                np.add(em[i], bi.take(state_row, axis=1), out=out[i])
+            # bp[i + 1] of every position i of the block in one step
+            tied = c[:m] >= (best[:m] - TIE_TOL)[:, :, None]
+            tied.argmax(axis=2, out=bp[lo + 1:lo + m + 1, :a])
     return beta, bp
 
 

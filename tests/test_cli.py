@@ -294,6 +294,28 @@ class TestBadModel:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["tag", "--method", "trigram"],
+                                         ["probe", "tri", "<S>", "<S>", "</S>"]],
+                             ids=["tag-trigram", "probe-tri"])
+    def test_empty_sentence_trigram(self, model_path, tmp_path, capsys, command):
+        # the padded trigram of an empty sentence, which train never counts
+        text = model_path.read_text(encoding="utf-8")
+        old = "\n<S>\t<S>\tJJ\t1\n"
+        assert old in text
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(old, "\n<S>\t<S>\t</S>\t1\n", 1), encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        verb, *rest = command
+        argv = [verb, "--model", str(bad), *rest]
+        if verb == "tag":
+            argv += ["--input", str(src)]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sentinel out of place in trigram" in err
+
     @pytest.mark.parametrize("command", [["tag", "--method", "unigram"], ["probe", "lex", "z"]],
                              ids=["tag-unigram", "probe-lex"])
     def test_zero_count_word(self, model_path, tmp_path, capsys, command):

@@ -20,6 +20,7 @@ from statpos.counts import UNIFORM_OPEN_CLASS
 from statpos.errors import (
     CorruptSection,
     EmptyCorpus,
+    EmptySentence,
     FormatVersionMismatch,
     InvalidConfig,
     StatposError,
@@ -70,6 +71,11 @@ class TestBuildCounts:
     def test_unknown_tag_rejected(self, small_tagset):
         with pytest.raises(UnknownTag):
             build_counts([[("a", "ZZZ")]], small_tagset)
+
+    def test_empty_sentence_rejected(self, small_tagset):
+        # its padding would count a (START, START, END) trigram and one more START
+        with pytest.raises(EmptySentence):
+            build_counts([[], [("a", "NN")]], small_tagset)
 
     def test_sentinel_spellings_are_ordinary_words(self, small_tagset):
         m = build_counts([[("<S>", "NN"), ("</S>", "VM")]], small_tagset)
@@ -491,15 +497,23 @@ class TestModelConsistency:
         [("NN\tVM\t</S>\t1", "</S>\tVM\t</S>\t1")],
         [("<S>\tNN\tVM\t1", "NN\t<S>\tVM\t1"), ("\nNN\tVM\t1\n", "\n<S>\tVM\t1\n")],
         [("NN\tVM\t</S>\t1", "NN\tVM\t<S>\t1"), ("\nVM\t</S>\t1\n", "\nVM\t<S>\t1\n")],
-    ], ids=["end-second", "end-first", "start-second-after-tag", "start-third"])
+        # the trigram of an empty sentence, with one more START and END
+        [("\n</S>\t2\n<S>\t2\n", "\n</S>\t3\n<S>\t3\n"),
+         ("[bigram]\n", "[bigram]\n<S>\t</S>\t1\n"),
+         ("VM\t</S>\t1\ncount=4\n[trigram]", "VM\t</S>\t1\ncount=5\n[trigram]"),
+         ("[trigram]\n", "[trigram]\n<S>\t<S>\t</S>\t1\n"),
+         ("NN\tVM\t</S>\t1\ncount=4\n", "NN\tVM\t</S>\t1\ncount=5\n")],
+    ], ids=["end-second", "end-first", "start-second-after-tag", "start-third", "empty-sentence"])
     def test_sentinel_out_of_place(self, edits):
-        # each edit keeps [tag] and [bigram] equal to the derived tables
+        # each edit keeps [tag] and [bigram] equal to the derived tables;
+        # the line-by-line parser refuses the file alike
         text = GOLDEN_MODEL
         for old, new in edits:
             assert old in text
             text = text.replace(old, new, 1)
-        with pytest.raises(CorruptSection, match="sentinel out of place"):
-            load_model(io.StringIO(text))
+        for parse in (load_model, load_model_by_lines):
+            with pytest.raises(CorruptSection, match="sentinel out of place"):
+                parse(io.StringIO(text))
 
     @pytest.mark.parametrize("old, new, message", [
         ("[word_tag]\n", "[word_tag]\ncount=0\n[word_tag]\n", "repeated section"),
@@ -597,13 +611,15 @@ def _recount(line, k):
 
 
 def _repeat_key(text, k):
-    # the copy carries another count, and the terminator counts it
+    # the copy carries another count, and the terminator counts it, unless
+    # an earlier mutation took the terminator out
     lines, chosen = _lines_with(text, _is_record)
     if not chosen:
         return text
     i = chosen[k % len(chosen)]
-    end = next(j for j in range(i, len(lines)) if _is_terminator(lines[j]))
-    lines[end] = f"count={int(lines[end][6:]) + 1}"
+    end = next((j for j in range(i, len(lines)) if _is_terminator(lines[j])), None)
+    if end is not None:
+        lines[end] = f"count={int(lines[end][6:]) + 1}"
     lines.insert(i, lines[i].rpartition("\t")[0] + f"\t{k % 5}")
     return "\n".join(lines)
 
@@ -646,6 +662,7 @@ class TestLoadModelAgainstLineParser:
     @example([[("count=1", "NN")]], [("no-terminator", 0)])
     @example([[("a", "NN")]], [("trailing-blank-line", 0)])
     @example([[("a", "NN")]], [("no-final-newline", 0)])
+    @example([[("count=", "JJ")]], [("no-terminator", 94), ("repeated-key", 6)])
     def test_mutated_files(self, corpus, mutations):
         buf = io.StringIO()
         save_model(build_counts(corpus, Tagset(["JJ", "NN", "VM"])), buf)

@@ -152,10 +152,10 @@ def test_long_sentences_match_the_stepwise_walk(order, block, monkeypatch):
     # Up to 500 words and 8 tags, logs rounded to 0.1 for exact ties and 15%
     # -inf entries; the last instances move entries TIE_TOL/2 or 2*TIE_TOL
     # down, so that candidates sit that far below a maximum at many
-    # positions.  Small blocks make the first-order walk cross block
-    # boundaries.  The second order decodes the distinct rows of a dense
-    # table with shared rows, against the dense reference.  Paths, scores
-    # and margins must be bit-identical.
+    # positions.  Small blocks make the first-order walk and the
+    # second-order backward pass cross block boundaries.  The second order
+    # decodes the distinct rows of a dense table with shared rows, against
+    # the dense reference.  Paths, scores and margins must be bit-identical.
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_CELLS", block)
     rng = np.random.default_rng(11)
@@ -234,3 +234,40 @@ def test_each_step_covers_exactly_the_live_sentences():
         steps = [(i, a) for a, run in kernels._runs(lengths, n) for i in run]
         assert [i for i, _ in steps] == list(range(n - 2, -1, -1))
         assert all(a == sum(m >= n - i for m in lengths) for i, a in steps)
+
+
+@pytest.mark.parametrize("order", ["bigram", "trigram"])
+def test_blocks_that_end_inside_a_run_and_runs_shorter_than_a_block(order, monkeypatch):
+    # A block of 12 positions of one sentence: the runs of 5 and 3 live
+    # sentences split into blocks, and the run of 2 is shorter than its
+    # block.  Paths and scores of the batch, and each sentence's margins with
+    # blocks of one cell, must be bit-identical to the step-wise walk.
+    rng = np.random.default_rng(17)
+    T = 4
+    lengths = [300, 41, 40, 5, 5, 2, 1]
+    shapes = [(T,), (T, T), (T,)] if order == "bigram" else [(T,), (T + 1, T, T), (T + 1, T)]
+    start, trans, end = [np.round(np.log(rng.uniform(0.1, 1.0, shape)), 1) for shape in shapes]
+    emits = [np.round(np.log(rng.uniform(0.1, 1.0, (m, T))), 1) for m in lengths]
+    for table in (start, trans, end, *emits):
+        table[rng.uniform(size=table.shape) < 0.15] = -np.inf
+    args = (start, trans, end)
+    width = T
+    if order == "trigram":
+        _share_rows(rng, trans)
+        args = _compressed((emits[0], start, trans, end))[1:]
+        width = len(args[1][1])
+    monkeypatch.setattr(kernels, "BLOCK_CELLS", 12 * T * width)
+    n, B = lengths[0], len(lengths)
+    runs = {a: len(steps) for a, steps in kernels._runs(lengths, n)}
+    assert runs[5] > 12 // 5 and runs[3] > 12 // 3 and runs[2] < 12 // 2
+    emit = np.full((n, B, T), np.nan)
+    for b, e in enumerate(emits):
+        emit[n - len(e):, b] = e
+    expected = [_stepwise_kernel(e, start, trans, end) for e in emits]
+    assert kernels.viterbi(emit, *args, lengths) == ([p for p, _, _ in expected],
+                                                     [s for _, s, _ in expected])
+    monkeypatch.setattr(kernels, "BLOCK_CELLS", 1)
+    for e, (path, score, margins) in zip(emits, expected):
+        marginal_path, marginal_score, marginal_margins = kernels.max_marginals(e, *args)
+        assert (marginal_path, marginal_score) == (path, score)
+        assert np.array_equal(marginal_margins, margins)
