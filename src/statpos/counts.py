@@ -327,7 +327,7 @@ def load_model(source):
             stop = rest.find("\n", line + 1)
             if stop < 0:
                 stop = len(rest)
-            digits = rest[line + 7:stop]
+            digits = rest[line + 7:stop]    # after "\ncount="
             if digits.isascii() and digits.isdigit():
                 break
             line = stop
