@@ -73,8 +73,9 @@ def check_unknown_policy(policy, tagset):
 
 
 def _sentinel_out_of_place(context, tag):
-    # a padded sentence has no tag after END and no START after a tag
-    return END in context or tag == START
+    # a padded sentence has no tag after END, no START after a tag, and at
+    # least one tag, so END never follows two STARTs
+    return END in context or tag == START or tag == END and context == (START, START)
 
 
 def _check_transition(context, tag):
@@ -112,9 +113,8 @@ class CountsModel:
         for key, n in self.tag_trigram_count.items():
             a, b, c = key
             # START opens a trigram only in the context, second only after a
-            # first START, and END never follows two STARTs: a padded
-            # sentence holds at least one tag
-            if _sentinel_out_of_place((a, b), c) or b == START and (a != START or c == END):
+            # first START
+            if _sentinel_out_of_place((a, b), c) or b == START and a != START:
                 raise CorruptSection(f"sentinel out of place in trigram {key}")
             bigram[b, c] = bigram.get((b, c), 0) + n
         # checked once per distinct tag, at most T+2 of them, not per record
@@ -245,10 +245,12 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 # within a section.
 
 _SECTIONS = ("tagset", "word_tag", "tag", "bigram", "trigram")
-# width -> a section of well-formed records: width - 1 tab-separated keys,
-# then a count of ASCII digits, each record ending in "\n"
+# width -> a run of well-formed records: width - 1 tab-separated keys, then
+# a count of ASCII digits, or for width 1 a [tagset] label, each record
+# ending in "\n"
 _RECORDS = {width: re.compile(r"(?:%s[0-9]+\n)*" % (r"[^\t\n]*\t" * (width - 1)))
             for width in (2, 3, 4)}
+_RECORDS[1] = re.compile(r"(?:[^\t\n]*\n)*")
 
 
 def save_model(model, sink):
@@ -346,22 +348,19 @@ def load_model(source):
         if name not in sections:
             raise CorruptSection(f"missing section [{name}]")
 
-    def records(name, width):
-        """A section's records split into fields; raises for the first that
-        is not width fields, or whose count (the last of several) is not
-        ASCII digits."""
+    def checked(name, width):
+        """A section's text; raises for its first record that is not width
+        fields, or whose count (the last of several) is not ASCII digits."""
         body = sections[name]
-        recs = [line.split("\t") for line in body[:-1].split("\n")] if body else []
-        for rec in recs:
-            if len(rec) != width or width > 1 and not (rec[-1].isascii() and rec[-1].isdigit()):
-                raise CorruptSection(f"bad record {rec!r}")
-        return recs
+        bad = _RECORDS[width].match(body).end()
+        if bad < len(body):
+            rec = body[bad:body.index("\n", bad)].split("\t")
+            raise CorruptSection(f"bad record {rec!r}")
+        return body
 
     def table(name, width):
         """{key: count} for a section, each key as written."""
-        body = sections[name]
-        if not _RECORDS[width].fullmatch(body):
-            records(name, width)  # raises for the first bad record
+        body = checked(name, width)
         fields = body[:-1].replace("\n", "\t").split("\t")
         keys = fields[0::2] if width == 2 else zip(*(fields[i::width] for i in range(width - 1)))
         out = dict(zip(keys, map(int, fields[width - 1::width])))
@@ -369,7 +368,7 @@ def load_model(source):
             raise CorruptSection(f"section [{name}] repeats a key")
         return out
 
-    model = CountsModel(Tagset(rec[0] for rec in records("tagset", 1)),
+    model = CountsModel(Tagset(checked("tagset", 1).split("\n")[:-1]),
                         table("word_tag", 3), table("trigram", 4))
     for name, width, derived in (("tag", 2, model.tag_count),
                                  ("bigram", 3, model.tag_bigram_count)):

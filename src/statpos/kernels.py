@@ -32,17 +32,15 @@ Path reconstruction picks, at every step, the smallest tag index among the
 candidates that achieve the maximum (within TIE_TOL), so the returned
 sequence is the lexicographically smallest maximizer.  When every path of a
 sentence scores -inf they all tie, and its path is all zeros.  The maximum
-over a state's candidates is taken once, in the backward pass.  The first
-order keeps the maxima it stores, top (beta[i] = emit[i] + top[i]), and
-reads its backpointers against them after the pass, one whole-array step per
-run of positions that share a live prefix, in blocks of BLOCK_CELLS
-candidates.  The second order keeps the candidates and maxima of a block of
-positions, at most BLOCK_CELLS candidates unless one position holds more, and
-takes the block's backpointers (one per sentence, row and position) in one
-whole-array step once the block is done: each position runs only the gather,
-the add, the maximum and the step to beta, and the path walk only looks the
-backpointers up.  Both orders compare the same floats that a first maximum
-taken at each position would.
+over a state's candidates is taken once, in the backward pass, one row of
+candidates per distinct transition row k (for the first order, its T states).
+The pass keeps the candidates and maxima of a block of positions, at most
+BLOCK_CELLS candidates unless one position holds more, and takes the block's
+backpointers (one per sentence, row and position) in one whole-array step once
+the block is done: each position runs only the add, the maximum and the step to
+beta (the second order also gathers beta by context and the maxima by state),
+and the path walk only looks the backpointers up.  The backpointers compare
+the same floats that a first maximum taken at each position would.
 
 All inputs are float64 log-probability tables; tag indices follow the
 lexicographic ordering of the tag labels.
@@ -55,9 +53,8 @@ import numpy as np
 # order drift by ~1e-13; genuinely distinct paths differ by far more.
 TIE_TOL = 1e-10
 
-# Most candidates that one block holds, in the first-order path walk and in
-# the second-order backward pass (256 KB of float64, so that a block stays in
-# L2 cache).
+# Most candidates that one block of the backward pass holds (256 KB of
+# float64, so that a block stays in L2 cache).
 BLOCK_CELLS = 1 << 15
 
 
@@ -73,45 +70,35 @@ def _runs(lengths, n):
 
 
 def _backward(emit, trans, end, lengths):
-    """beta (n,B,...), set at the live positions only, and, for the first
-    order, the maxima top (n,B,T) with beta[i] = emit[i] + top[i], or, for
-    the second order, the backpointers bp (n,B,K): bp[i, b, k] is the first
-    best tag at position i of sentence b after a state whose row is k."""
+    """beta (n,B,...), set at the live positions only, and the backpointers
+    bp (n,B,K): bp[i, b, k] is the first best tag at position i of sentence b
+    after a state whose row is k (the first order's row is its state)."""
     n, B, T = emit.shape
     beta = np.empty((n, B) + end.shape)
-    if end.ndim == 1:
-        beta[n - 1] = emit[n - 1] + end
-        top = np.empty((n, B, T))
-        # cand[b, c, s] = trans[s, c] + beta[i+1, b, c], laid out so that the
-        # max runs down the short axis c, which numpy does faster
-        trans = trans.T[None].copy()
-        cand = np.empty((B, T, T))
-        for a, steps in _runs(lengths, n):
-            # views of the live prefix, so that each step indexes one integer
-            nxt, em, out = beta[:, :a, :, None], emit[:, :a], beta[:, :a]
-            best, c = top[:, :a], cand[:a]
-            for i in steps:
-                np.add(trans, nxt[i + 1], out=c)
-                np.maximum.reduce(c, axis=1, out=best[i])
-                np.add(em[i], best[i], out=out[i])
-        return beta, top
-    # the emissions broadcast over the state's context
-    emit = emit[:, :, None]
+    first = end.ndim == 1
+    if first:
+        # cand[b, c, s] = trans[s, c] + beta[i+1, b, c]
+        rows, nxt = trans.T[None].copy(), beta[:, :, :, None]
+    else:
+        # cand[b, c, k] = rows[k, c] + beta[i+1, b, ctx[k], c]: row k's
+        # candidates read the beta row of its current tag
+        rows, ctx, state_row = trans
+        rows = rows.T[None].copy()
+        gather = ctx * T + np.arange(T)[:, None]
+        state_row = state_row.reshape(-1, T)    # the row of each (previous, current) pair
+        nxt = beta.reshape(n, B, -1)
+        # the emissions broadcast over the state's context
+        emit = emit[:, :, None]
     beta[n - 1] = emit[n - 1] + end
-    rows, ctx, state_row = trans
-    K = len(ctx)
-    # cand[b, c, k] = rows[k, c] + beta[i+1, b, ctx[k], c]: row k's candidates
-    # read the beta row of its current tag, laid out so that the max and the
-    # first maximum run down the short axis c, which numpy does faster
-    rows = rows.T[None].copy()      # (1,T,K): one sentence's step adds without broadcasting
-    gather = ctx * T + np.arange(T)[:, None]
-    state_row = state_row.reshape(-1, T)    # the row of each (previous, current) pair
-    flat = beta.reshape(n, B, -1)
+    # the candidates (B, next tag c, row k) of one position, laid out so that
+    # the max and the first maximum run down the short axis c, which numpy
+    # does faster; (1,T,K) rows add to one sentence's step without broadcasting
+    K = rows.shape[2]
     bp = np.empty((n, B, K), dtype=np.intp)
     # each run's positions in blocks of at most BLOCK_CELLS candidates (or one
     # position), kept with their maxima until the block's backpointers are taken
     for a, steps in _runs(lengths, n):
-        fl, em, out = flat[:, :a], emit[:, :a], beta[:, :a]
+        nx, em, out = nxt[:, :a], emit[:, :a], beta[:, :a]
         step = min(len(steps), max(1, BLOCK_CELLS // (a * T * K)))
         c, best = np.empty((step, a, T, K)), np.empty((step, a, K))
         for p in range(0, len(steps), step):
@@ -119,18 +106,18 @@ def _backward(emit, trans, end, lengths):
             block = steps[p:p + step]
             lo, m = block[-1], len(block)
             for i, ci, bi in zip(block, c[m - 1::-1], best[m - 1::-1]):
-                np.add(rows, fl[i + 1].take(gather, axis=1), out=ci)
+                np.add(rows, nx[i + 1] if first else nx[i + 1].take(gather, axis=1), out=ci)
                 np.maximum.reduce(ci, axis=1, out=bi)
-                np.add(em[i], bi.take(state_row, axis=1), out=out[i])
+                np.add(em[i], bi if first else bi.take(state_row, axis=1), out=out[i])
             # bp[i + 1] of every position i of the block in one step
             tied = c[:m] >= (best[:m] - TIE_TOL)[:, :, None]
             tied.argmax(axis=2, out=bp[lo + 1:lo + m + 1, :a])
     return beta, bp
 
 
-def _path(start, trans, beta, kept, lengths):
+def _path(start, trans, beta, bp, lengths):
     """The best path and its score of every sentence of the batch, from what
-    _backward returns: beta, and the maxima top or the backpointers bp."""
+    _backward returns: beta and the backpointers bp."""
     n, B, T = beta.shape[0], beta.shape[1], beta.shape[-1]
     offsets = [n - m for m in lengths]
     # each sentence's first position, in its START context
@@ -140,32 +127,16 @@ def _path(start, trans, beta, kept, lengths):
     first = (totals >= best).argmax(axis=1).tolist()
     scores = [row[t] for row, t in zip(totals.tolist(), first)]
     paths = [[t] for t in first]
-    if not isinstance(trans, tuple):
-        # rows[i][b][s] is the first best tag at position i of sentence b
-        # after tag s, for the sentences live at i - 1: the first c with
-        # trans[s, c] + beta[i, b, c] within TIE_TOL of kept[i-1, b, s], the
-        # maximum of these candidates that the backward pass stored
-        rows = [None] * n
-        trans = trans.T
-        for a, steps in _runs(lengths, n):
-            lo, hi = steps[-1] + 1, steps[0] + 2
-            step = max(1, BLOCK_CELLS // (a * T * T))
-            for p in range(lo, hi, step):
-                q = min(p + step, hi)
-                best = kept[p - 1:q - 1, :a, None] - TIE_TOL
-                rows[p:q] = (trans + beta[p:q, :a, :, None] >= best).argmax(axis=2).tolist()
-        for b, (path, o) in enumerate(zip(paths, offsets)):
-            for row in rows[o + 1:]:
-                path.append(row[b][path[-1]])
-    else:
-        # the pair state s = previous tag * T + current tag, previous tag T for START
-        state_row, first_best = trans[2].tolist(), kept.item
-        for b, (path, o) in enumerate(zip(paths, offsets)):
-            s = T * T + path[0]
-            for i in range(o + 1, n):
-                t = first_best(i, b, state_row[s])
-                path.append(t)
-                s = (s % T) * T + t
+    # state s is the tag (last = 1), or the pair previous tag * T + current
+    # tag with previous tag T for START (last = T); the next state keeps s % last
+    state_row = trans[2].tolist() if isinstance(trans, tuple) else range(T)
+    states, last, first_best = beta[0, 0].size, T ** (beta.ndim - 3), bp.item
+    for b, (path, o) in enumerate(zip(paths, offsets)):
+        s = states - T + path[0]    # the first tag, in the START context
+        for i in range(o + 1, n):
+            t = first_best(i, b, state_row[s])
+            path.append(t)
+            s = (s % last) * T + t
     for b, score in enumerate(scores):
         if score == -np.inf:
             # every path scores -inf, so all tie and the smallest is all zeros
@@ -193,8 +164,8 @@ def max_marginals(emit, start, trans, end):
     """Best path of one sentence, emit (n,T), its score, and margins (n,T):
     margins[i, t] is the best total score with position i pinned to tag t."""
     n, T = emit.shape
-    beta, kept = _backward(emit[:, None], trans, end, [n])
-    (path,), (score,) = _path(start, trans, beta, kept, [n])
+    beta, bp = _backward(emit[:, None], trans, end, [n])
+    (path,), (score,) = _path(start, trans, beta, bp, [n])
     beta = beta[:, 0]
     if isinstance(trans, tuple):
         rows, _, state_row = trans

@@ -44,8 +44,8 @@ from .tagset import END, START
 
 NEG_INF = float("-inf")
 
-# Most padded cells of beta and the maxima or backpointers that one
-# tag_corpus batch holds (8 MB of float64).
+# Most padded cells of beta and the backpointers that one tag_corpus batch
+# holds (8 MB of float64).
 BATCH_CELLS = 1 << 20
 
 
@@ -335,8 +335,8 @@ def tag_corpus(sentences, model, config):
     rows = _row_list(model, smoothing, tables, words, _log_emission)
     start, trans, end = _kernel_tables(model, smoothing, tables, config.method)
     T = len(labels)
-    # padded cells per position and sentence: beta, and the first order's
-    # maxima or the second order's backpointers
+    # padded cells per position and sentence: beta, and one backpointer per
+    # transition row (the first order's rows are its T states)
     width = end.size + (len(trans[1]) if end.ndim == 2 else T)
     order = sorted(range(len(sentences)), key=lambda j: -len(sentences[j]))
     tagged = [None] * len(sentences)

@@ -471,11 +471,12 @@ class TestProbe:
 
     @pytest.mark.parametrize("query", [["trans", "</S>", "NN"], ["trans", "NN", "<S>"],
                                        ["tri", "</S>", "NN", "VM"], ["tri", "NN", "</S>", "VM"],
-                                       ["tri", "NN", "VM", "<S>"]],
+                                       ["tri", "NN", "VM", "<S>"], ["tri", "<S>", "<S>", "</S>"]],
                              ids=["trans-from-end", "trans-to-start", "tri-end-first",
-                                  "tri-end-second", "tri-to-start"])
+                                  "tri-end-second", "tri-to-start", "tri-start-start-end"])
     def test_sentinel_out_of_place(self, model_path, capsys, query):
-        # no padded sentence has a tag after END or START after a tag
+        # no padded sentence has a tag after END, START after a tag, or END
+        # after two STARTs (the padding of an empty sentence)
         code, out, err = run(capsys, ["probe", "--model", str(model_path), *query])
         assert code == 1
         assert out == ""

@@ -213,18 +213,24 @@ class TestTrigramTransition:
     (p_bigram_transition, (END, "NN"), False),
     (p_bigram_transition, ("NN", START), False),
     (p_bigram_transition, (START, START), False),
+    (p_bigram_transition, (START, END), True),
     (p_trigram_transition, (START, START, "NN"), True),
     (p_trigram_transition, ("NN", START, "VM"), True),
     (p_trigram_transition, ("NN", "VM", END), True),
     (p_trigram_transition, (END, "NN", "VM"), False),
     (p_trigram_transition, ("NN", END, "VM"), False),
     (p_trigram_transition, ("NN", "VM", START), False),
+    (p_trigram_transition, (START, START, END), False),
 ], ids=["bigram-from-start", "bigram-to-end", "bigram-from-end", "bigram-to-start",
-        "bigram-start-to-start", "trigram-start-start", "trigram-tag-start", "trigram-to-end",
-        "trigram-end-first", "trigram-end-second", "trigram-to-start"])
+        "bigram-start-to-start", "bigram-start-to-end", "trigram-start-start",
+        "trigram-tag-start", "trigram-to-end", "trigram-end-first", "trigram-end-second",
+        "trigram-to-start", "trigram-start-start-end"])
 def test_sentinel_placement_in_transitions(small_tagset, prob, key, accepted):
-    # no padded sentence has a tag after END or START after a tag; the
-    # (tag, START) context is a query that stays well-defined
+    # no padded sentence has a tag after END, START after a tag, or END
+    # after two STARTs (the padding of an empty sentence); the (tag, START)
+    # context is a query that stays well-defined, and so is the bigram
+    # (START, END): the smoothed P(. | START) counts END among its T+1
+    # outcomes, and the normalization criterion sums over them
     m = model_from(["a/NN b/VM"], small_tagset)
     if accepted:
         assert 0.0 <= prob(m, *key, SmoothingConfig()) <= 1.0

@@ -152,8 +152,8 @@ def test_long_sentences_match_the_stepwise_walk(order, block, monkeypatch):
     # Up to 500 words and 8 tags, logs rounded to 0.1 for exact ties and 15%
     # -inf entries; the last instances move entries TIE_TOL/2 or 2*TIE_TOL
     # down, so that candidates sit that far below a maximum at many
-    # positions.  Small blocks make the first-order walk and the
-    # second-order backward pass cross block boundaries.  The second order
+    # positions.  Small blocks make the backward pass of both orders take
+    # its backpointers across block boundaries.  The second order
     # decodes the distinct rows of a dense table with shared rows, against
     # the dense reference.  Paths, scores and margins must be bit-identical.
     if block is not None:
