@@ -29,9 +29,7 @@ class EvaluationReport:
 
     @property
     def accuracy_percent(self):
-        if self.total_tokens == 0:
-            return 0.0
-        return 100.0 * self.correct_tokens / self.total_tokens
+        return accuracy_percent(self.correct_tokens, self.total_tokens) if self.total_tokens else 0.0
 
 
 def accuracy_percent(correct, total):

@@ -13,12 +13,16 @@ current tag, so rows holds K distinct rows, far fewer than the (T+1)*T
 states.  `start` (T,) leaves the START context.  Interior transitions are
 whatever `trans` holds, so the HMM decoder can pass doubled weights.
 
-A batch of B sentences is laid out position-major, emit (n,B,T): sorted
-longest first and right-aligned at the shared last position n-1, so sentence
-b of lengths[b] words starts at offset n - lengths[b], and the sentences live
-at position i are a prefix [:a] of the batch (`_runs`).  One numpy step per
-position serves all of them, and no arithmetic runs on the padding before a
-sentence starts.  One sentence is the batch of one.
+`viterbi` takes the emission rows (N,T) of every word of its sentences, one
+sentence after another, and their `lengths`, and returns the paths and
+scores in that order.  It lays the sentences out itself, in batches of at
+most BATCH_CELLS cells of beta and backpointers: a batch of B sentences is
+position-major, (n,B,T), sorted longest first and right-aligned at the shared
+last position n-1, so sentence b of lengths[b] words starts at offset n -
+lengths[b], and the sentences live at position i are a prefix [:a] of the
+batch (`_runs`).  One numpy step per position serves all of them, and no
+arithmetic runs on the padding before a sentence starts.  One sentence is the
+batch of one, and its rows need no copy.
 
 The backward pass (`_backward`) fills beta[i, b], the best score of positions
 i..n-1 of sentence b given the state at i.  `viterbi` reconstructs each path
@@ -46,6 +50,8 @@ All inputs are float64 log-probability tables; tag indices follow the
 lexicographic ordering of the tag labels.
 """
 
+import itertools
+
 import numpy as np
 
 # Path reconstruction treats candidates within this margin of the maximum as
@@ -56,6 +62,10 @@ TIE_TOL = 1e-10
 # Most candidates that one block of the backward pass holds (256 KB of
 # float64, so that a block stays in L2 cache).
 BLOCK_CELLS = 1 << 15
+
+# Most cells of beta and the backpointers, padding included, that one batch
+# of sentences holds (8 MB of float64).
+BATCH_CELLS = 1 << 20
 
 
 def _runs(lengths, n):
@@ -144,19 +154,36 @@ def _path(start, trans, beta, bp, lengths):
     return paths, scores
 
 
-def viterbi(emit, start, trans, end, lengths=None):
-    """Best path and its score of one sentence, emit (n,T).  Given the
-    `lengths` of a batch emit (n,B,T), laid out as above, the lists of the B
-    best paths and of their scores."""
-    if lengths is None:
-        paths, scores = _path(start, trans, *_backward(emit[:, None], trans, end, [len(emit)]),
-                              [len(emit)])
-        return paths[0], scores[0]
-    return _path(start, trans, *_backward(emit, trans, end, lengths), lengths)
+def viterbi(emit, start, trans, end, lengths):
+    """The best paths and their scores of the sentences of lengths[j] words
+    whose rows emit (N,T) holds one after another, in their order."""
+    if len(lengths) == 1:
+        return _path(start, trans, *_backward(emit[:, None], trans, end, lengths), lengths)
+    T = emit.shape[1]
+    # cells per position and sentence: beta, and one backpointer per
+    # transition row (the first order's rows are its T states)
+    width = end.size + (len(trans[1]) if end.ndim == 2 else T)
+    bounds = list(itertools.accumulate(lengths, initial=0))
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    paths, scores = [None] * len(lengths), [None] * len(lengths)
+    lo = 0
+    while lo < len(order):
+        n = lengths[order[lo]]
+        batch = order[lo:lo + max(1, BATCH_CELLS // (n * width))]
+        lo += len(batch)
+        # right-aligned at position n - 1, position-major
+        block = np.empty((n, len(batch), T))
+        for b, j in enumerate(batch):
+            block[n - lengths[j]:, b] = emit[bounds[j]:bounds[j + 1]]
+        sizes = [lengths[j] for j in batch]
+        found = _path(start, trans, *_backward(block, trans, end, sizes), sizes)
+        for j, path, score in zip(batch, *found):
+            paths[j], scores[j] = path, score
+    return paths, scores
 
 
-# The benchmark times the kernel of one sentence under one name per model
-# order, so both names stay, bound to the one viterbi.
+# The benchmark times the kernel under one name per model order, so both
+# names stay, bound to the one viterbi.
 viterbi_bigram = viterbi_trigram = viterbi
 
 

@@ -10,16 +10,17 @@ distinct rows; for hmm the doubled interior, built once), and one float64
 row per row kind and word: the rows of the known words a call lacks come
 from one numpy computation over their count matrix, again equal to the p_*
 values bit for bit, and one row from the p_* functions serves every unknown
-word.  tag_sentence and decode_with_trace share one path: stack the
-sentence's rows, then take the first maximum of each row (unigram) or run
-the order's Viterbi kernel (bigram, hmm, trigram).  tag_corpus returns what
-tag_sentence returns for each sentence of a list: the unigram takes the
-first maxima of all its rows at once, and the Viterbi methods lay the
-sentences' rows out longest first and right-aligned, in batches of at most
-BATCH_CELLS padded cells, and run the same kernel once per batch.
-score_sequence and brute_force_decode recompute the objective from the p_*
-functions and serve as the independent oracle in the test suite.  Ties are
-always broken in favor of the lexicographically smallest tag tuple.
+word.  Every method tags through tag_corpus: stack the rows of all the
+words of its sentences, then take the first maximum of each row (unigram)
+or pass them to one call of the order's Viterbi kernel (bigram, hmm,
+trigram), which lays the sentences out in batches itself.  tag_sentence is
+tag_corpus's batch of one.  decode_with_trace adds a trace: the unigram's
+margins from the rows, next to tag_sentence's tags, and the Viterbi methods'
+path and margins from the kernel's max_marginals, which takes the path of
+the same backward pass.  score_sequence and brute_force_decode recompute the
+objective from the p_* functions and serve as the independent oracle in the
+test suite.  Ties are always broken in favor of the lexicographically
+smallest tag tuple.
 """
 
 import itertools
@@ -43,11 +44,6 @@ from .errors import EmptySentence, InstanceTooLarge, InvalidConfig, LengthMismat
 from .tagset import END, START
 
 NEG_INF = float("-inf")
-
-# Most padded cells of beta and the backpointers that one tag_corpus batch
-# holds (8 MB of float64).
-BATCH_CELLS = 1 << 20
-
 
 @dataclass(frozen=True)
 class TaggerConfig:
@@ -224,27 +220,19 @@ def _fill_rows(model, smoothing, tables, prob, words):
         cache.update(zip(known, _BLOCKS[prob](model, smoothing, labels, known)))
 
 
-def _row_list(model, smoothing, tables, words, prob):
-    """Each word's row of prob over the labels; tables[prob] keeps each
-    word's row, under None for every unknown word, and the rows it lacks are
-    filled first, in one step."""
+def _rows(model, smoothing, tables, words, prob):
+    """The words' rows of prob over the labels, stacked (W,T); tables[prob]
+    keeps each word's row, under None for every unknown word, and the rows it
+    lacks are filled first, in one step."""
     vocabulary = model.vocabulary
     cache = tables.get(prob, {})
     try:
-        return [cache[w if w in vocabulary else None] for w in words]
+        rows = [cache[w if w in vocabulary else None] for w in words]
     except KeyError:
         _fill_rows(model, smoothing, tables, prob, words)
         cache = tables[prob]
-        return [cache[w if w in vocabulary else None] for w in words]
-
-
-def _stack(rows):
+        rows = [cache[w if w in vocabulary else None] for w in words]
     return np.concatenate(rows).reshape(len(rows), -1)
-
-
-def _rows(model, smoothing, tables, sentence, prob):
-    """The sentence's rows of prob over the labels, stacked."""
-    return _stack(_row_list(model, smoothing, tables, sentence, prob))
 
 
 def _tables(model, smoothing):
@@ -268,97 +256,71 @@ def _kernel_tables(model, smoothing, tables, method):
     return tables[method]
 
 
-def _decode(sentence, model, config, traced):
-    """The tagged sentence and, when traced, its DecodeTrace."""
+def tag_sentence(sentence, model, config):
+    """Tag a list of words with config.method; returns (word, tag) pairs."""
+    return tag_corpus([sentence], model, config)[0]
+
+
+def tag_corpus(sentences, model, config):
+    """Tag a list of sentences; returns each one's (word, tag) pairs, which
+    do not depend on the other sentences of the call.  The unigram takes the
+    first maximum of every word's row at once; the Viterbi methods pass the
+    rows of all the words to one call of the order's kernel."""
+    if not all(sentences):
+        raise EmptySentence()
+    if not sentences:
+        return []
+    smoothing, method = config.smoothing, config.method
+    tables = _tables(model, smoothing)
+    labels = tables["labels"]
+    words = sentences[0] if len(sentences) == 1 else [w for s in sentences for w in s]
+    if method == "unigram":
+        probs = _rows(model, smoothing, tables, words, _unigram_lexical_prob)
+        # the first maximum of the probability, not of its log, which can tie
+        # two distinct tiny ones
+        tags = probs.argmax(axis=1)
+        possible = probs.any(axis=1)
+        if not possible.all():
+            # a word impossible under every tag makes all sequences of its
+            # sentence tie at -inf, and the smallest, all zeros, wins
+            lengths = [len(s) for s in sentences]
+            possible = np.logical_and.reduceat(possible, np.cumsum(lengths) - lengths)
+            tags[~np.repeat(possible, lengths)] = 0
+        tags = tags.tolist()
+    else:
+        order = "trigram" if method == "trigram" else "bigram"
+        paths, _ = getattr(kernels, f"viterbi_{order}")(
+            _rows(model, smoothing, tables, words, _log_emission),
+            *_kernel_tables(model, smoothing, tables, method), [len(s) for s in sentences])
+        tags = itertools.chain.from_iterable(paths)
+    # each sentence's zip stops at its last word, before it takes a tag more
+    tags = iter(tags)
+    return [[(w, labels[t]) for w, t in zip(s, tags)] for s in sentences]
+
+
+def decode_with_trace(sentence, model, config):
+    """Decode and report, per position, the best total score achievable with
+    that position pinned to each candidate tag (a DecodeTrace)."""
     if not sentence:
         raise EmptySentence()
     smoothing, method = config.smoothing, config.method
     tables = _tables(model, smoothing)
     labels = tables["labels"]
     if method == "unigram":
-        probs = _rows(model, smoothing, tables, sentence, _unigram_lexical_prob)
-        # the first maximum of the probability, not of its log, which can tie
-        # two distinct tiny ones; if a word is impossible under every tag,
-        # all sequences tie at -inf and the smallest, all zeros, wins
-        possible = probs.any(axis=1).all()
-        path = probs.argmax(axis=1).tolist() if possible else [0] * len(sentence)
-        if traced:
-            # positions are independent: pin tag t at i, the optimum elsewhere
-            logs = _log_table(probs)
-            best = logs.max(axis=1)
-            score = sum(best.tolist())
-            margins = logs + (score - best)[:, None] if possible else np.full_like(logs, NEG_INF)
+        tagged = tag_sentence(sentence, model, config)
+        # positions are independent: pin tag t at i, the optimum elsewhere
+        logs = _log_table(_rows(model, smoothing, tables, sentence, _unigram_lexical_prob))
+        best = logs.max(axis=1)
+        score = sum(best.tolist())
+        margins = logs + (score - best)[:, None] if score > NEG_INF else np.full_like(logs, NEG_INF)
     else:
-        args = (_rows(model, smoothing, tables, sentence, _log_emission),
-                *_kernel_tables(model, smoothing, tables, method))
-        if traced:
-            path, score, margins = kernels.max_marginals(*args)
-        else:
-            order = "trigram" if method == "trigram" else "bigram"
-            path, _ = getattr(kernels, f"viterbi_{order}")(*args)
-    tagged = [(w, labels[j]) for w, j in zip(sentence, path)]
-    if not traced:
-        return tagged, None
+        # the path of the one backward pass that the margins read
+        path, score, margins = kernels.max_marginals(
+            _rows(model, smoothing, tables, sentence, _log_emission),
+            *_kernel_tables(model, smoothing, tables, method))
+        tagged = [(w, labels[t]) for w, t in zip(sentence, path)]
     positions = [dict(zip(labels, row)) for row in margins.tolist()]
     return tagged, DecodeTrace(positions, float(score))
-
-
-def tag_sentence(sentence, model, config):
-    """Tag a list of words with config.method; returns (word, tag) pairs."""
-    return _decode(sentence, model, config, traced=False)[0]
-
-
-def tag_corpus(sentences, model, config):
-    """Tag a list of sentences; equal to [tag_sentence(s, model, config) for
-    s in sentences], tie-breaks included.  The unigram tags every word in
-    one step; the Viterbi methods decode the sentences longest first, in
-    batches of at most BATCH_CELLS padded cells, one kernel call per batch."""
-    if not all(sentences):
-        raise EmptySentence()
-    if not sentences:
-        return []
-    smoothing = config.smoothing
-    tables = _tables(model, smoothing)
-    labels = tables["labels"]
-    words = list(itertools.chain.from_iterable(sentences))
-    lengths = [len(s) for s in sentences]
-    # sentence j is words[bounds[j]:bounds[j + 1]]
-    bounds = np.cumsum([0] + lengths).tolist()
-    if config.method == "unigram":
-        probs = _rows(model, smoothing, tables, words, _unigram_lexical_prob)
-        # as in _decode: a sentence with a word impossible under every tag
-        # decodes to all zeros
-        possible = np.logical_and.reduceat(probs.any(axis=1), bounds[:-1])
-        path = np.where(np.repeat(possible, lengths), probs.argmax(axis=1), 0)
-        pairs = iter(zip(words, [labels[t] for t in path.tolist()]))
-        return [list(itertools.islice(pairs, len(s))) for s in sentences]
-    rows = _row_list(model, smoothing, tables, words, _log_emission)
-    start, trans, end = _kernel_tables(model, smoothing, tables, config.method)
-    T = len(labels)
-    # padded cells per position and sentence: beta, and one backpointer per
-    # transition row (the first order's rows are its T states)
-    width = end.size + (len(trans[1]) if end.ndim == 2 else T)
-    order = sorted(range(len(sentences)), key=lambda j: -len(sentences[j]))
-    tagged = [None] * len(sentences)
-    lo = 0
-    while lo < len(order):
-        n = len(sentences[order[lo]])
-        batch = order[lo:lo + max(1, BATCH_CELLS // (n * width))]
-        lo += len(batch)
-        # right-aligned at position n - 1, position-major
-        emit = np.empty((n, len(batch), T))
-        for b, j in enumerate(batch):
-            emit[n - len(sentences[j]):, b] = _stack(rows[bounds[j]:bounds[j + 1]])
-        paths, _ = kernels.viterbi(emit, start, trans, end, [lengths[j] for j in batch])
-        for j, path in zip(batch, paths):
-            tagged[j] = [(w, labels[t]) for w, t in zip(sentences[j], path)]
-    return tagged
-
-
-def decode_with_trace(sentence, model, config):
-    """Decode and report, per position, the best total score achievable with
-    that position pinned to each candidate tag (a DecodeTrace)."""
-    return _decode(sentence, model, config, traced=True)
 
 
 # --- scoring and the enumeration oracle --------------------------------------
@@ -366,6 +328,8 @@ def decode_with_trace(sentence, model, config):
 def score_sequence(sentence, tags, model, config):
     """Log-score of a tag sequence under the configured method's objective;
     exactly what the matching decoder maximizes."""
+    if not sentence:
+        raise EmptySentence()
     if len(tags) != len(sentence):
         raise LengthMismatch()
     check_unknown_policy(config.smoothing.unknown_policy, model.tagset)

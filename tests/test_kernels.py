@@ -27,7 +27,7 @@ def test_first_argmax_picks_smallest_index_of_the_maximum(values, expected):
     assert _first_argmax(values) == expected
     T = len(values)
     zeros = np.zeros((1, T))
-    assert kernels.viterbi(zeros, values, np.zeros((T, T)), zeros[0])[0] == [expected]
+    assert kernels.viterbi(zeros, values, np.zeros((T, T)), zeros[0], [1])[0] == [[expected]]
 
 
 def _path_score_bigram(path, emit, start, trans, end):
@@ -99,7 +99,7 @@ def test_max_marginals_with_zero_probability_emission(order):
     for tables in [tables] + [_random_tables(rng, order) for _ in range(100)]:
         n, T = tables[0].shape
         args = tables if order == "bigram" else _compressed(tables)
-        path, score = kernels.viterbi(*args)
+        (path,), (score,) = kernels.viterbi(*args, [n])
         marginal_path, marginal_score, margins = kernels.max_marginals(*args)
         assert (marginal_path, marginal_score) == (path, score)
         scores = {p: score_of(p, *tables) for p in itertools.product(range(T), repeat=n)}
@@ -173,7 +173,7 @@ def test_long_sentences_match_the_stepwise_walk(order, block, monkeypatch):
             _share_rows(rng, tables[2])
             args = _compressed(tables)
         path, score, margins = _stepwise_kernel(*tables)
-        assert kernels.viterbi(*args) == (path, score)
+        assert kernels.viterbi(*args, [n]) == ([path], [score])
         marginal_path, marginal_score, marginal_margins = kernels.max_marginals(*args)
         assert (marginal_path, marginal_score) == (path, score)
         assert np.array_equal(marginal_margins, margins)
@@ -186,16 +186,16 @@ def test_batches_match_the_stepwise_walk(order, block, monkeypatch):
     # tables, with repeated lengths, logs rounded to 0.1 for exact ties,
     # 15% -inf entries and one sentence whose every path scores -inf; the
     # last batches move entries TIE_TOL/2 or 2*TIE_TOL down, for near-ties
-    # at many positions.  Laid out longest first and right-aligned, each
-    # sentence's path and score must be bit-identical to its own step-wise
-    # decoding.
+    # at many positions.  Given the rows of all the sentences one after
+    # another, in no order by length, each sentence's path and score must be
+    # bit-identical to its own step-wise decoding.
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_CELLS", block)
     rng = np.random.default_rng(13)
     for near in [False] * 8 + [True] * 4:
         T = int(rng.integers(1, 8))
         B = int(rng.integers(1, 13))
-        lengths = sorted(rng.choice([1, 2, 5, 40, 41, 300], size=B).tolist(), reverse=True)
+        lengths = rng.choice([1, 2, 5, 40, 41, 300], size=B).tolist()
         shapes = ([(T,), (T, T), (T,)] if order == "bigram"
                   else [(T,), (T + 1, T, T), (T + 1, T)])
         start, trans, end = [np.round(np.log(rng.uniform(0.1, 1.0, shape)), 1)
@@ -213,11 +213,7 @@ def test_batches_match_the_stepwise_walk(order, block, monkeypatch):
         if order == "trigram":
             _share_rows(rng, trans)
             args = _compressed((emits[0], start, trans, end))[1:]
-        n = lengths[0]
-        emit = np.full((n, B, T), np.nan)           # padding is never read
-        for b, e in enumerate(emits):
-            emit[n - len(e):, b] = e
-        paths, scores = kernels.viterbi(emit, *args, lengths)
+        paths, scores = kernels.viterbi(np.concatenate(emits), *args, lengths)
         expected = [_stepwise_kernel(e, start, trans, end)[:2] for e in emits]
         assert paths == [p for p, _ in expected]
         assert scores == [s for _, s in expected]
@@ -244,7 +240,7 @@ def test_blocks_that_end_inside_a_run_and_runs_shorter_than_a_block(order, monke
     # blocks of one cell, must be bit-identical to the step-wise walk.
     rng = np.random.default_rng(17)
     T = 4
-    lengths = [300, 41, 40, 5, 5, 2, 1]
+    lengths = [5, 41, 1, 300, 2, 40, 5]
     shapes = [(T,), (T, T), (T,)] if order == "bigram" else [(T,), (T + 1, T, T), (T + 1, T)]
     start, trans, end = [np.round(np.log(rng.uniform(0.1, 1.0, shape)), 1) for shape in shapes]
     emits = [np.round(np.log(rng.uniform(0.1, 1.0, (m, T))), 1) for m in lengths]
@@ -257,15 +253,11 @@ def test_blocks_that_end_inside_a_run_and_runs_shorter_than_a_block(order, monke
         args = _compressed((emits[0], start, trans, end))[1:]
         width = len(args[1][1])
     monkeypatch.setattr(kernels, "BLOCK_CELLS", 12 * T * width)
-    n, B = lengths[0], len(lengths)
-    runs = {a: len(steps) for a, steps in kernels._runs(lengths, n)}
+    runs = {a: len(steps) for a, steps in kernels._runs(sorted(lengths, reverse=True), 300)}
     assert runs[5] > 12 // 5 and runs[3] > 12 // 3 and runs[2] < 12 // 2
-    emit = np.full((n, B, T), np.nan)
-    for b, e in enumerate(emits):
-        emit[n - len(e):, b] = e
     expected = [_stepwise_kernel(e, start, trans, end) for e in emits]
-    assert kernels.viterbi(emit, *args, lengths) == ([p for p, _, _ in expected],
-                                                     [s for _, s, _ in expected])
+    assert kernels.viterbi(np.concatenate(emits), *args, lengths) == (
+        [p for p, _, _ in expected], [s for _, s, _ in expected])
     monkeypatch.setattr(kernels, "BLOCK_CELLS", 1)
     for e, (path, score, margins) in zip(emits, expected):
         marginal_path, marginal_score, marginal_margins = kernels.max_marginals(e, *args)

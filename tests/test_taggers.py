@@ -213,6 +213,13 @@ class TestScoreSequence:
         s2 = score_sequence(["b", "a"], ["NN", "VM"], m, c)
         assert s1 == pytest.approx(s2, abs=1e-12)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty(self, method, small_tagset):
+        # the decoders and the oracle refuse an empty sentence, and so does scoring
+        m = model_from(["a/NN b/VM"], small_tagset)
+        with pytest.raises(EmptySentence):
+            score_sequence([], [], m, cfg(method))
+
     def test_length_mismatch(self, small_tagset):
         m = model_from(["a/NN"], small_tagset)
         with pytest.raises(LengthMismatch):
@@ -440,9 +447,9 @@ class TestTables:
         seen = []
         viterbi = kernels.viterbi_bigram
 
-        def recording(emit, start, trans, end):
+        def recording(emit, start, trans, end, lengths):
             seen.append(trans)
-            return viterbi(emit, start, trans, end)
+            return viterbi(emit, start, trans, end, lengths)
 
         monkeypatch.setattr(kernels, "viterbi_bigram", recording)
         model, _ = random_model(make_rng(5))
@@ -602,7 +609,7 @@ class TestTagCorpus:
     @pytest.mark.parametrize("method", DP_METHODS)
     def test_small_batches(self, method, cells, monkeypatch):
         # a small cap splits the corpus into batches mid-way
-        monkeypatch.setattr(taggers, "BATCH_CELLS", cells)
+        monkeypatch.setattr(kernels, "BATCH_CELLS", cells)
         rng = make_rng(31)
         model, _ = random_model(rng)
         sentences = self.corpus(rng, [5, 1, 30, 7, 7, 2, 60, 30, 1, 12])
@@ -616,12 +623,28 @@ class TestTagCorpus:
             tag_corpus([["a"], []], m, cfg("hmm"))
 
     @pytest.mark.parametrize("method", DP_METHODS)
-    def test_batches_never_reach_the_timed_names(self, method, monkeypatch):
-        # the benchmark's kernel spans read one sentence's (n, T) emissions
+    def test_one_named_kernel_call_takes_every_row(self, method, monkeypatch):
+        # the benchmark's kernel spans read the (N, T) rows of the call's words
+        seen = []
+        name = "viterbi_trigram" if method == "trigram" else "viterbi_bigram"
+        viterbi = getattr(kernels, name)
+
+        def recording(emit, start, trans, end, lengths):
+            seen.append((emit, lengths))
+            return viterbi(emit, start, trans, end, lengths)
+
+        monkeypatch.setattr(kernels, name, recording)
         calls = count_calls(monkeypatch, kernels, ("viterbi_bigram", "viterbi_trigram"))
         model, _ = random_model(make_rng(5))
-        tag_corpus([["a", "b", "c"], ["c", "oov1"]], model, cfg(method))
-        assert calls == {}
+        sentences = [["c", "oov1"], ["a", "b", "c"], ["b"]]
+        tag_corpus(sentences, model, cfg(method))
+        assert calls == {name: 1}
+        (emit, lengths), = seen
+        assert lengths == [2, 3, 1]
+        words = [w for s in sentences for w in s]
+        rows = taggers._rows(model, SmoothingConfig(), {"labels": model.tagset.sorted_labels()},
+                             words, taggers._log_emission)
+        assert np.array_equal(emit, rows)
 
 
 @pytest.mark.parametrize("method,kernel", [("unigram", None),
@@ -634,4 +657,5 @@ def test_decoding_calls_the_order_kernel_once_per_sentence(method, kernel, monke
     model, _ = random_model(make_rng(5))
     tag_sentence(["a", "b", "c"], model, cfg(method))
     tag_sentence(["c", "oov1"], model, cfg(method))
-    assert calls == ({kernel: 2} if kernel else {})
+    tag_corpus([["b", "a"]], model, cfg(method))
+    assert calls == ({kernel: 3} if kernel else {})
