@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import itertools
+import os
 import sys
 
 from . import corpus as corpus_io
@@ -96,6 +97,10 @@ def cmd_tag(args):
     with contextlib.ExitStack() as stack:
         instream = stack.enter_context(
             text_file(args.input or getattr(sys.stdin, "buffer", sys.stdin)))
+        # opening the output would empty the input before it is read
+        if args.input and args.output and os.path.exists(args.output) \
+                and os.path.samefile(args.input, args.output):
+            raise StatposError(f"--input and --output are the same file {args.output!r}")
         outstream = stack.enter_context(text_file(args.output or sys.stdout, "w"))
         while True:
             lines = [raw.rstrip("\r\n") for raw in itertools.islice(instream, CHUNK_LINES)]
@@ -178,18 +183,25 @@ def cmd_probe(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        handler = {
-            "train": cmd_train,
-            "tag": cmd_tag,
-            "eval": cmd_eval,
-            "probe": cmd_probe,
-        }[args.subcommand]
-        return handler(args)
+        try:
+            args = build_parser().parse_args(argv)
+            handler = {"train": cmd_train, "tag": cmd_tag, "eval": cmd_eval,
+                       "probe": cmd_probe}[args.subcommand]
+            return handler(args)
+        finally:
+            # a reader of standard output that has gone shows here, not at exit
+            sys.stdout.flush()
     except StatposError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2 if isinstance(e, EmptyCorpus) else 1
+        message, status = e, 2 if isinstance(e, EmptyCorpus) else 1
+    except OSError as e:
+        # a write to standard output: text_file turns every other OSError
+        # into an IoFailure.  The flush at interpreter exit then has nowhere
+        # to fail.
+        message, status = e, 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print(f"error: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

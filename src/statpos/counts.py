@@ -18,7 +18,6 @@ from .errors import (
     EmptySentence,
     FormatVersionMismatch,
     InvalidConfig,
-    IoFailure,
     StatposError,
     UnknownTag,
     UnknownWord,
@@ -245,6 +244,10 @@ def p_trigram_transition(model, t2, t1, tag, smoothing):
 # within a section.
 
 _SECTIONS = ("tagset", "word_tag", "tag", "bigram", "trigram")
+# a section header line, and a terminator: a line that is "count=" and ASCII
+# digits, matched with the "\n" that ends the line before it
+_HEADER = re.compile(r"\[([^\n]*)\](?=\n|\Z)")
+_TERMINATOR = re.compile(r"\ncount=([0-9]+)(?=\n|\Z)")
 # width -> a run of well-formed records: width - 1 tab-separated keys, then
 # a count of ASCII digits, or for width 1 a [tagset] label, each record
 # ending in "\n"
@@ -263,11 +266,9 @@ def save_model(model, sink):
     try:
         with text_file(tmp, "w") as fh:
             _write_model(model, fh)
-        # renamed only once closed, so the target is never a partial file
-        try:
+            # renamed only once closed, so the target is never a partial file
+            fh.close()
             os.replace(tmp, sink)
-        except OSError as e:
-            raise IoFailure(str(e)) from e
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -312,29 +313,17 @@ def load_model(source):
     sections = {}
     pos = 0
     while pos < len(rest):
-        end = rest.find("\n", pos)
-        if end < 0:
-            end = len(rest)
-        head = rest[pos:end]
-        if not (head.startswith("[") and head.endswith("]")):
-            raise CorruptSection(f"expected section header, got {head!r}")
-        name = head[1:-1]
-        # the terminator: the first line after the header that is "count="
-        # and ASCII digits; rest[line] is the "\n" that ends the line before it
-        line = end
-        while True:
-            line = rest.find("\ncount=", line)
-            if line < 0:
-                raise CorruptSection(f"section {name!r} missing count terminator")
-            stop = rest.find("\n", line + 1)
-            if stop < 0:
-                stop = len(rest)
-            digits = rest[line + 7:stop]    # after "\ncount="
-            if digits.isascii() and digits.isdigit():
-                break
-            line = stop
-        body = rest[end + 1:line + 1]
-        declared, found = int(digits), body.count("\n")
+        head = _HEADER.match(rest, pos)
+        if not head:
+            line = rest[pos:].partition("\n")[0]
+            raise CorruptSection(f"expected section header, got {line!r}")
+        name = head[1]
+        # the search starts at the "\n" that ends the header line
+        term = _TERMINATOR.search(rest, head.end())
+        if not term:
+            raise CorruptSection(f"section {name!r} missing count terminator")
+        body = rest[head.end() + 1:term.start() + 1]
+        declared, found = int(term[1]), body.count("\n")
         if declared != found:
             raise CorruptSection(f"section {name!r} declares {declared} records, found {found}")
         if name not in _SECTIONS:
@@ -342,7 +331,7 @@ def load_model(source):
         if name in sections:
             raise CorruptSection(f"repeated section [{name}]")
         sections[name] = body
-        pos = stop + 1
+        pos = term.end() + 1
 
     for name in _SECTIONS:
         if name not in sections:

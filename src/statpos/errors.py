@@ -98,19 +98,21 @@ def text_file(source, mode="r"):
     """Yield a text stream for a path or an already open stream.
 
     A path is opened as UTF-8 and closed on exit; a stream is never closed,
-    and one that yields bytes is read as strict UTF-8.  An OSError becomes an
+    and one that yields bytes is read as strict UTF-8.  A path or byte stream
+    read skips a leading byte order mark; writing adds none.  An OSError becomes an
     IoFailure.  In read mode a UnicodeDecodeError does too, naming this file:
     a write-mode stream does not claim the decode errors of another file read
     inside its block.
     """
     is_path = isinstance(source, (str, bytes, os.PathLike))
     name = os.fsdecode(source) if is_path else getattr(source, "name", "<stream>")
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
     try:
         with contextlib.ExitStack() as stack:
-            fh = stack.enter_context(open(source, mode, encoding="utf-8")) if is_path else source
+            fh = stack.enter_context(open(source, mode, encoding=encoding)) if is_path else source
             # only probed in read mode: read(0) on a write-only stream raises
             if mode == "r" and isinstance(fh.read(0), bytes):
-                fh = io.TextIOWrapper(fh, encoding="utf-8")
+                fh = io.TextIOWrapper(fh, encoding=encoding)
                 stack.callback(fh.detach)  # else collecting the wrapper closes the stream
             yield fh
     except IoFailure:

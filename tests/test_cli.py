@@ -28,6 +28,14 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def child_env(**extra):
+    """The environment of a child Python that imports statpos from this
+    checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 class TestTrain:
     def test_summary(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
@@ -209,6 +217,20 @@ class TestTag:
         assert code == 1
         assert "error" in err
 
+    def test_output_is_the_input(self, model_path, tmp_path, capsys, monkeypatch):
+        # refused before the output is opened, which would empty the input
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        os.link(src, tmp_path / "link.txt")
+        monkeypatch.chdir(tmp_path)
+        for output in (str(src), "in.txt", "./in.txt", "link.txt"):
+            code, out, err = run(capsys, ["tag", "--model", str(model_path), "--method", "hmm",
+                                          "--input", str(src), "--output", output])
+            assert code == 1
+            assert out == ""
+            assert err == f"error: --input and --output are the same file {output!r}\n"
+            assert src.read_text(encoding="utf-8") == "a b\n"
+
 
 class TestTagChunks:
     """`tag` reads and writes its input a chunk of lines at a time."""
@@ -248,12 +270,15 @@ class TestTagChunks:
                 return super().__next__()
 
         class Output(io.StringIO):
+            pending = ""
+
             def write(self, text):
                 self.pending = text
                 return len(text)
 
             def flush(self):
                 super().write(self.pending)
+                self.pending = ""
 
         out = Output()
         monkeypatch.setattr(sys, "stdin", Input("a b\n\nc d\nd\n"))
@@ -587,6 +612,91 @@ class TestNonUtf8Input:
                                             "--gold", str(gold)], "line 2")
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A file or standard input that opens with a UTF-8 byte order mark reads
+    as its twin without one."""
+
+    TAGS = b"NN\nVM\nJJ\nQC\n"
+
+    def trained(self, tmp_path, name, corpus, tags=None):
+        """The bytes of the model trained from corpus (and tags, if given)."""
+        (tmp_path / f"{name}.txt").write_bytes(corpus)
+        argv = ["train", "--corpus", str(tmp_path / f"{name}.txt"),
+                "--model", str(tmp_path / f"{name}.model")]
+        if tags is not None:
+            (tmp_path / f"{name}.tags").write_bytes(tags)
+            argv += ["--tagset", str(tmp_path / f"{name}.tags")]
+        assert main(argv) == 0
+        return (tmp_path / f"{name}.model").read_bytes()
+
+    def test_corpus(self, tmp_path):
+        assert (self.trained(tmp_path, "bom", BOM + TRAIN.encode())
+                == self.trained(tmp_path, "plain", TRAIN.encode()))
+
+    def test_tagset(self, tmp_path):
+        assert (self.trained(tmp_path, "bom", TRAIN.encode(), BOM + self.TAGS)
+                == self.trained(tmp_path, "plain", TRAIN.encode(), self.TAGS))
+
+    def test_model_file(self, model_path, tmp_path, capsys):
+        bom_model = tmp_path / "bom-model.txt"
+        bom_model.write_bytes(BOM + model_path.read_bytes())
+        src = tmp_path / "in.txt"
+        src.write_text("a b\nc d\n", encoding="utf-8")
+        outcomes = [run(capsys, ["tag", "--model", str(model), "--method", "hmm",
+                                 "--input", str(src)])
+                    for model in (model_path, bom_model)]
+        assert outcomes[0] == outcomes[1] == (0, "a/NN b/VM\nc/JJ d/QC\n", "")
+
+    def test_stdin(self, model_path, capsys, monkeypatch):
+        outcomes = []
+        for raw in (b"a b\nc d\n", BOM + b"a b\nc d\n"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+            outcomes.append(run(capsys, ["tag", "--model", str(model_path), "--method", "hmm"]))
+        assert outcomes[0] == outcomes[1] == (0, "a/NN b/VM\nc/JJ d/QC\n", "")
+
+    def test_bad_byte_keeps_its_line_number(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(BOM + b"a/NN\nb/VM\n" + "café".encode("latin-1") + b"/NN\n")
+        code, out, err = run(capsys, ["train", "--corpus", str(corpus),
+                                      "--model", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 3: not UTF-8") and err.count("\n") == 1
+
+
+class TestClosedStdout:
+    """A reader of standard output that has exited ends every command with
+    one error line and exit 1, whether standard output is buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["train", "tag", "eval", "eval-counts", "probe-emit",
+                                         "probe-decode"])
+    def test_one_error_line(self, model_path, tmp_path, command, unbuffered):
+        corpus = tmp_path / "train.txt"
+        corpus.write_text(TRAIN, encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        argv = {
+            "train": ["train", "--corpus", str(corpus), "--model", str(tmp_path / "m.txt")],
+            "tag": ["tag", "--model", str(model_path), "--method", "hmm", "--input", str(src)],
+            "eval": ["eval", "--model", str(model_path), "--method", "hmm",
+                     "--gold", str(corpus)],
+            "eval-counts": ["eval", "--counts", "3", "4"],
+            "probe-emit": ["probe", "--model", str(model_path), "emit", "a", "NN"],
+            "probe-decode": ["probe", "--model", str(model_path), "decode", "hmm", "a", "b"],
+        }[command]
+        child = subprocess.Popen([sys.executable, "-m", "statpos.cli", *argv],
+                                 env=child_env(PYTHONUNBUFFERED=unbuffered),
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        child.stdout.close()    # long before the child has started up
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 1, err
+        assert err == "error: [Errno 32] Broken pipe\n"
+
+
 class TestBadSettings:
     """A setting outside its domain ends in one error line, exit 1."""
 
@@ -677,9 +787,6 @@ class TestImports:
                 "assert 'numpy' not in sys.modules\n"
                 "statpos.tag_sentence\n"
                 "assert 'numpy' in sys.modules\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr

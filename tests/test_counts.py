@@ -606,6 +606,10 @@ def _is_terminator(line):
     return line.startswith("count=") and line[6:].isdigit()
 
 
+def _is_header(line):
+    return line.startswith("[") and line.endswith("]") and "\t" not in line
+
+
 def _drop_tab(line, k):
     tabs = [j for j, c in enumerate(line) if c == "\t"]
     j = tabs[k % len(tabs)]
@@ -647,6 +651,16 @@ MUTATIONS = {
     "trailing-blank-line": lambda text, k: text + "\n",
     "no-final-newline": lambda text, k: text[:-1] if text.endswith("\n") else text,
     "trailing-text": lambda text, k: text + "[tag]\n"[:1 + k % 6],
+    "header-without-bracket": lambda text, k: _edit_line(
+        text, _is_header, lambda line, k: [line[:-1]], k),
+    "header-double-bracket": lambda text, k: _edit_line(
+        text, _is_header, lambda line, k: [line + "]"], k),
+    "header-trailing-text": lambda text, k: _edit_line(
+        text, _is_header, lambda line, k: [line + ("x", "\t", " ")[k % 3]], k),
+    "record-reads-count": lambda text, k: _edit_line(
+        text, _is_record, lambda line, k: ["count=12x"], k),
+    "non-ascii-terminator": lambda text, k: _edit_line(
+        text, _is_terminator, lambda line, k: ["count=\u0661"], k),
 }
 
 
@@ -698,6 +712,18 @@ class TestLoadModelAgainstLineParser:
             assert parse_outcome(load_model_by_lines, source()) == golden
         # a text stream that keeps "\r" is not a model file, for either parser
         assert self.assert_agree(crlf.decode("utf-8"))[0] is FormatVersionMismatch
+
+    def test_byte_order_mark(self, tmp_path):
+        # a path and a byte stream skip it; a text stream that keeps it is
+        # not a model file
+        bom = b"\xef\xbb\xbf" + GOLDEN_MODEL.encode("utf-8")
+        path = tmp_path / "model.txt"
+        path.write_bytes(bom)
+        golden = parse_outcome(load_model, io.StringIO(GOLDEN_MODEL))
+        for source in (lambda: path, lambda: io.BytesIO(bom)):
+            assert parse_outcome(load_model, source()) == golden
+            assert parse_outcome(load_model_by_lines, source()) == golden
+        assert self.assert_agree(bom.decode("utf-8"))[0] is CorruptSection
 
     def test_byte_stream(self):
         source = GOLDEN_MODEL.encode("utf-8")

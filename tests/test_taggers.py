@@ -101,6 +101,8 @@ class TestUnigram:
         m = model_from(["x/NN"], small_tagset)
         with pytest.raises(EmptySentence):
             tag_sentence([], m, cfg("unigram"))
+        with pytest.raises(EmptySentence):
+            decode_with_trace([], m, cfg("unigram"))
 
 
 class TestDecoders:
@@ -155,6 +157,8 @@ class TestDecoders:
         m = model_from(["a/NN"], small_tagset)
         with pytest.raises(EmptySentence):
             tag_sentence([], m, cfg(method))
+        with pytest.raises(EmptySentence):
+            decode_with_trace([], m, cfg(method))
 
     @pytest.mark.parametrize("method", DP_METHODS)
     def test_every_path_impossible(self, method):
