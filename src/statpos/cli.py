@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import itertools
 import os
+import stat
 import sys
 
 from . import corpus as corpus_io
@@ -88,6 +89,16 @@ def cmd_train(args):
     return 0
 
 
+def _reads_file(stream, path):
+    """Whether an open stream reads the regular file at path; False for a
+    stream without a file descriptor, such as an in-memory one."""
+    try:
+        info = os.fstat(stream.fileno())
+        return stat.S_ISREG(info.st_mode) and os.path.samestat(info, os.stat(path))
+    except OSError:
+        return False
+
+
 def cmd_tag(args):
     from . import taggers
 
@@ -98,9 +109,9 @@ def cmd_tag(args):
         instream = stack.enter_context(
             text_file(args.input or getattr(sys.stdin, "buffer", sys.stdin)))
         # opening the output would empty the input before it is read
-        if args.input and args.output and os.path.exists(args.output) \
-                and os.path.samefile(args.input, args.output):
-            raise StatposError(f"--input and --output are the same file {args.output!r}")
+        if args.output and _reads_file(instream, args.output):
+            source = "--input" if args.input else "standard input"
+            raise StatposError(f"{source} and --output are the same file {args.output!r}")
         outstream = stack.enter_context(text_file(args.output or sys.stdout, "w"))
         while True:
             lines = [raw.rstrip("\r\n") for raw in itertools.islice(instream, CHUNK_LINES)]

@@ -1,17 +1,19 @@
 """Viterbi decoding kernel: one numpy max-product dynamic program for both
 model orders, over a batch of sentences.
 
-A state is the tag context that the transitions read, and the shape of `end`
-sets the order.  The bigram's state is the current tag: `trans` is (T,T),
-indexed by state and next tag, and `end` is (T,).  The trigram's state is the
-pair of the previous and current tag, s = a * T + b, where previous index T
-stands for START, and `end` is (T+1,T).  Its `trans` is the triple (rows,
-ctx, state_row): state s moves to next tag c with rows[state_row[s], c], and
-ctx[k] is the current tag of the states that read row k.  Interpolated
-trigram contexts that never occur in training share one backoff row per
-current tag, so rows holds K distinct rows, far fewer than the (T+1)*T
-states.  `start` (T,) leaves the START context.  Interior transitions are
-whatever `trans` holds, so the HMM decoder can pass doubled weights.
+A state is the tag context that the transitions read, and `trans` sets the
+order.  The bigram's state is the current tag: `trans` is (T,T), indexed by
+state and next tag.  The trigram's state is the pair of the previous and
+current tag, s = a * T + b, where previous index T stands for START.  Its
+`trans` is the triple (rows, ctx, state_row): state s moves to next tag c with
+rows[state_row[s], c], and ctx[k] is the current tag of the states that read
+row k.  Interpolated trigram contexts that never occur in training share one
+backoff row per current tag, so rows holds K distinct rows, far fewer than
+the (T+1)*T states; the first order's K rows are its T states.  `end` (K,)
+ends a sentence from each row: an unseen context's END entry is its backoff
+row's too, so a row fixes its states' current tag, transitions and end, and
+so their scores.  `start` (T,) leaves the START context.  Interior
+transitions are whatever `trans` holds, so the HMM can pass doubled weights.
 
 `viterbi` takes the emission rows (N,T) of every word of its sentences, one
 sentence after another, and their `lengths`, and returns the paths and
@@ -20,31 +22,30 @@ most BATCH_CELLS cells of beta and backpointers: a batch of B sentences is
 position-major, (n,B,T), sorted longest first and right-aligned at the shared
 last position n-1, so sentence b of lengths[b] words starts at offset n -
 lengths[b], and the sentences live at position i are a prefix [:a] of the
-batch (`_runs`).  One numpy step per position serves all of them, and no
-arithmetic runs on the padding before a sentence starts.  One sentence is the
-batch of one, and its rows need no copy.
+batch (`_runs`).  One numpy step per position serves all of them, with no
+arithmetic on the padding, and one sentence is the batch of one, uncopied.
 
-The backward pass (`_backward`) fills beta[i, b], the best score of positions
-i..n-1 of sentence b given the state at i.  `viterbi` reconstructs each path
-forward from beta, starting at start + beta[offset_b, b]; `max_marginals`
-(one sentence) also runs the forward pass for fwd[i], the best score of
-positions 0..i-1 plus the transition into the state at i, so fwd + beta,
-maximized over the state's context, is the best total score with position i
-pinned to each tag (fwd leaves out the emission at i, which beta holds).
+The backward pass (`_backward`) fills beta[i, b, k], the best score of
+positions i..n-1 of sentence b from a state of row k.  `viterbi` walks each
+path forward from start plus the beta of the START context's rows;
+`max_marginals` (one sentence) spreads beta over the states and adds the
+forward pass's fwd[i], the best score of positions 0..i-1 plus the transition
+into the state at i: maximized over the state's context, fwd + beta is the
+best total with position i pinned to each tag (beta holds the emission at i).
 
 Path reconstruction picks, at every step, the smallest tag index among the
 candidates that achieve the maximum (within TIE_TOL), so the returned
 sequence is the lexicographically smallest maximizer.  When every path of a
-sentence scores -inf they all tie, and its path is all zeros.  The maximum
-over a state's candidates is taken once, in the backward pass, one row of
-candidates per distinct transition row k (for the first order, its T states).
-The pass keeps the candidates and maxima of a block of positions, at most
-BLOCK_CELLS candidates unless one position holds more, and takes the block's
-backpointers (one per sentence, row and position) in one whole-array step once
-the block is done: each position runs only the add, the maximum and the step to
-beta (the second order also gathers beta by context and the maxima by state),
-and the path walk only looks the backpointers up.  The backpointers compare
-the same floats that a first maximum taken at each position would.
+sentence scores -inf they all tie, and its path is all zeros.  The backward
+pass takes the maximum over a row's candidates once.  It keeps the candidates
+and maxima of a block of positions, at most BLOCK_CELLS candidates unless one
+position holds more, and takes the block's backpointers (one per sentence,
+row and position) in one whole-array step once the block is done; the path
+walk only looks them up.  Each position runs the add, the maximum and the
+step to beta; the orders differ only in how the candidates read the next
+beta, broadcast over the first order's states or, for the second, gathered by
+the row of the next state.  The backpointers compare the same floats that a
+first maximum taken at each position would.
 
 All inputs are float64 log-probability tables; tag indices follow the
 lexicographic ordering of the tag labels.
@@ -80,32 +81,29 @@ def _runs(lengths, n):
 
 
 def _backward(emit, trans, end, lengths):
-    """beta (n,B,...), set at the live positions only, and the backpointers
-    bp (n,B,K): bp[i, b, k] is the first best tag at position i of sentence b
-    after a state whose row is k (the first order's row is its state)."""
-    n, B, T = emit.shape
-    beta = np.empty((n, B) + end.shape)
-    first = end.ndim == 1
+    """beta and the backpointers bp, both (n,B,K) and set at the live positions
+    only: beta[i, b, k] is the best score of positions i..n-1 of sentence b
+    from a state of row k, and bp[i, b, k] the first best tag at i after it."""
+    (n, B, T), K = emit.shape, end.size
+    beta, bp = np.empty((n, B, K)), np.empty((n, B, K), dtype=np.intp)
+    first = not isinstance(trans, tuple)
     if first:
         # cand[b, c, s] = trans[s, c] + beta[i+1, b, c]
         rows, nxt = trans.T[None].copy(), beta[:, :, :, None]
     else:
-        # cand[b, c, k] = rows[k, c] + beta[i+1, b, ctx[k], c]: row k's
-        # candidates read the beta row of its current tag
+        # cand[b, c, k] = rows[k, c] + beta[i+1, b, gather[c, k]]: row k's
+        # candidates read the row of the next state, (ctx[k], c)
         rows, ctx, state_row = trans
         rows = rows.T[None].copy()
-        gather = ctx * T + np.arange(T)[:, None]
-        state_row = state_row.reshape(-1, T)    # the row of each (previous, current) pair
-        nxt = beta.reshape(n, B, -1)
-        # the emissions broadcast over the state's context
-        emit = emit[:, :, None]
+        gather = state_row[ctx * T + np.arange(T)[:, None]]
+        nxt = beta
+        # row k's emissions are those of its current tag
+        emit = emit.take(ctx, axis=2)
     beta[n - 1] = emit[n - 1] + end
     # the candidates (B, next tag c, row k) of one position, laid out so that
     # the max and the first maximum run down the short axis c, which numpy
-    # does faster; (1,T,K) rows add to one sentence's step without broadcasting
-    K = rows.shape[2]
-    bp = np.empty((n, B, K), dtype=np.intp)
-    # each run's positions in blocks of at most BLOCK_CELLS candidates (or one
+    # does faster; (1,T,K) rows add to one sentence's step without broadcasting.
+    # Each run's positions in blocks of at most BLOCK_CELLS candidates (or one
     # position), kept with their maxima until the block's backpointers are taken
     for a, steps in _runs(lengths, n):
         nx, em, out = nxt[:, :a], emit[:, :a], beta[:, :a]
@@ -118,7 +116,7 @@ def _backward(emit, trans, end, lengths):
             for i, ci, bi in zip(block, c[m - 1::-1], best[m - 1::-1]):
                 np.add(rows, nx[i + 1] if first else nx[i + 1].take(gather, axis=1), out=ci)
                 np.maximum.reduce(ci, axis=1, out=bi)
-                np.add(em[i], bi if first else bi.take(state_row, axis=1), out=out[i])
+                np.add(em[i], bi, out=out[i])
             # bp[i + 1] of every position i of the block in one step
             tied = c[:m] >= (best[:m] - TIE_TOL)[:, :, None]
             tied.argmax(axis=2, out=bp[lo + 1:lo + m + 1, :a])
@@ -128,19 +126,19 @@ def _backward(emit, trans, end, lengths):
 def _path(start, trans, beta, bp, lengths):
     """The best path and its score of every sentence of the batch, from what
     _backward returns: beta and the backpointers bp."""
-    n, B, T = beta.shape[0], beta.shape[1], beta.shape[-1]
+    n, B, T = beta.shape[0], beta.shape[1], len(start)
     offsets = [n - m for m in lengths]
-    # each sentence's first position, in its START context
-    totals = start + beta.reshape(n * B, -1)[[o * B + b for b, o in enumerate(offsets)], -T:]
+    # state s is the tag (last = 1), or the pair previous tag * T + current
+    # tag with previous tag T for START (last = T); the next state keeps s % last
+    state_row, last = (trans[2], T) if isinstance(trans, tuple) else (np.arange(T), 1)
+    # each sentence's first position, in its START context: the rows of its T states
+    totals = start + beta[offsets, np.arange(B)].take(state_row[-T:], axis=1)
     best = np.maximum.reduce(totals, axis=1, keepdims=True)
     best -= TIE_TOL
     first = (totals >= best).argmax(axis=1).tolist()
     scores = [row[t] for row, t in zip(totals.tolist(), first)]
     paths = [[t] for t in first]
-    # state s is the tag (last = 1), or the pair previous tag * T + current
-    # tag with previous tag T for START (last = T); the next state keeps s % last
-    state_row = trans[2].tolist() if isinstance(trans, tuple) else range(T)
-    states, last, first_best = beta[0, 0].size, T ** (beta.ndim - 3), bp.item
+    states, state_row, first_best = len(state_row), state_row.tolist(), bp.item
     for b, (path, o) in enumerate(zip(paths, offsets)):
         s = states - T + path[0]    # the first tag, in the START context
         for i in range(o + 1, n):
@@ -160,9 +158,9 @@ def viterbi(emit, start, trans, end, lengths):
     if len(lengths) == 1:
         return _path(start, trans, *_backward(emit[:, None], trans, end, lengths), lengths)
     T = emit.shape[1]
-    # cells per position and sentence: beta, and one backpointer per
+    # cells per position and sentence: beta and one backpointer per
     # transition row (the first order's rows are its T states)
-    width = end.size + (len(trans[1]) if end.ndim == 2 else T)
+    width = 2 * end.size
     bounds = list(itertools.accumulate(lengths, initial=0))
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
     paths, scores = [None] * len(lengths), [None] * len(lengths)
@@ -195,8 +193,10 @@ def max_marginals(emit, start, trans, end):
     (path,), (score,) = _path(start, trans, beta, bp, [n])
     beta = beta[:, 0]
     if isinstance(trans, tuple):
+        # beta and the transitions of each pair state, from those of its row
         rows, _, state_row = trans
         trans = rows[state_row].reshape(-1, T, T)
+        beta = beta.take(state_row, axis=1).reshape(n, -1, T)
     fwd = np.full(beta.shape, -np.inf)
     fwd[0].reshape(-1, T)[-1] = start       # the START context
     for i in range(1, n):

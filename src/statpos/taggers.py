@@ -6,11 +6,11 @@ paper's equations.  Decoding reads one dict of tables per (model, smoothing),
 kept with the model and filled on first use: per method, the tables its
 kernel reads (the transitions of both orders from one numpy computation over
 count arrays, equal to the p_* values bit for bit; for the trigram only its
-distinct rows; for hmm the doubled interior, built once), and one float64
-row per row kind and word: the rows of the known words a call lacks come
-from one numpy computation over their count matrix, again equal to the p_*
-values bit for bit, and one row from the p_* functions serves every unknown
-word.  Every method tags through tag_corpus: stack the rows of all the
+distinct rows, each with its END entry; for hmm the doubled interior, built
+once), and one float64 row per row kind and word: the rows of the known
+words a call lacks come from one numpy computation over their count matrix,
+again equal to the p_* values bit for bit, and one row from the p_*
+functions serves every unknown word.  Every method tags through tag_corpus: stack the rows of all the
 words of its sentences, then take the first maximum of each row (unigram)
 or pass them to one call of the order's Viterbi kernel (bigram, hmm,
 trigram), which lays the sentences out in batches itself.  tag_sentence is
@@ -148,26 +148,27 @@ def transition_tables(model, smoothing):
 
 
 def trigram_tables(model, smoothing):
-    """Second-order tables: start2 (T,), the transition rows, and tri_end
-    (T+1,T), whose row T holds the START context.  The pair state (a, b), a
-    = T for START, is s = a * T + b, and its transitions to the next tag are
-    rows[state_row[s]] (T,), a row whose current tag ctx[state_row[s]] is b.
-    A context that never occurs has a raw trigram ratio of exactly 0.0, so
-    its row is the backoff row of b, shared by all such contexts: K = T
-    backoff rows plus one row per context that occurs."""
+    """Second-order tables: start2 (T,), the transition rows, and end (K,).
+    The pair state (a, b), a = T for START, is s = a * T + b, and its
+    transitions to the next tag are rows[state_row[s]] (T,), a row whose
+    current tag ctx[state_row[s]] is b, and to END end[state_row[s]].  A
+    context that never occurs has a raw trigram ratio of exactly 0.0, END
+    included, so its row and end are the backoff ones of b, shared by all
+    such contexts: K = T backoff rows plus one row per context that occurs."""
     labels, p = _transition_probs(model, smoothing, second_order=True)
     T = len(labels)
     index = {t: i for i, t in enumerate(labels + [START])}
     seen = np.array(sorted(index[a] * T + index[b]
                            for (a, b), n in model.tag_bigram_count.items() if n and b != END),
                     dtype=np.intp)
-    # no bigram leaves END, so the END context p[T + 1] holds the backoff rows
-    rows = np.concatenate([p[T + 1, :T, :T], p[:T + 1, :T, :T].reshape(-1, T)[seen]])
+    # no bigram leaves END, so the END context p[T + 1] holds the backoff
+    # rows; each row keeps its entry for END, p[..., T + 1]
+    rows = np.concatenate([p[T + 1, :T], p[:T + 1, :T].reshape(-1, T + 2)[seen]])
     ctx = np.concatenate([np.arange(T), seen % T])
     state_row = np.tile(np.arange(T), T + 1)
     state_row[seen] = T + np.arange(len(seen))
-    return (labels, _log_table(p[T, T, :T]), (_log_table(rows), ctx, state_row),
-            _log_table(p[:T + 1, :T, T + 1]))
+    return (labels, _log_table(p[T, T, :T]), (_log_table(rows[:, :T]), ctx, state_row),
+            _log_table(rows[:, T + 1]))
 
 
 # --- the tables of one (model, smoothing) and the one decoding path ---------

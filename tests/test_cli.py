@@ -231,6 +231,30 @@ class TestTag:
             assert err == f"error: --input and --output are the same file {output!r}\n"
             assert src.read_text(encoding="utf-8") == "a b\n"
 
+    def test_output_is_standard_input(self, model_path, tmp_path):
+        # `tag --output X < X`: the shell opened X for reading, and opening
+        # it for writing would empty it before it is read
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        with open(src, "rb") as stdin:
+            done = subprocess.run([sys.executable, "-m", "statpos.cli", "tag", "--model",
+                                   str(model_path), "--method", "hmm", "--output", str(src)],
+                                  stdin=stdin, env=child_env(), capture_output=True, text=True,
+                                  timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: standard input and --output are the same file {str(src)!r}\n")
+        assert src.read_bytes() == b"a b\n"
+
+    def test_output_is_the_device_standard_input_reads(self, model_path):
+        # only a regular file is emptied by opening it for writing
+        done = subprocess.run([sys.executable, "-m", "statpos.cli", "tag", "--model",
+                               str(model_path), "--method", "hmm", "--output", os.devnull],
+                              stdin=subprocess.DEVNULL, env=child_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
 
 class TestTagChunks:
     """`tag` reads and writes its input a chunk of lines at a time."""

@@ -52,15 +52,17 @@ def _share_rows(rng, tri):
 
 def _compressed(tables):
     """Kernel arguments for dense second-order tables (emit, start2, tri
-    (T+1,T,T), tri_end): tri becomes its distinct (current tag, row) pairs
-    (rows, ctx, state_row)."""
+    (T+1,T,T), tri_end (T+1,T)): the pair states become their distinct
+    (current tag, row, end) triples, (rows, ctx, state_row) and end (K,)."""
     emit, start, tri, end = tables
     T = emit.shape[1]
-    keyed = np.column_stack([np.tile(np.arange(T), T + 1), tri.reshape(-1, T)])
+    keyed = np.column_stack([np.tile(np.arange(T), T + 1), end.reshape(-1), tri.reshape(-1, T)])
     distinct, state_row = np.unique(keyed, axis=0, return_inverse=True)
-    trans = (distinct[:, 1:], distinct[:, 0].astype(np.intp), state_row.reshape(-1))
-    assert np.array_equal(trans[0][trans[2]], tri.reshape(-1, T))
-    return emit, start, trans, end
+    state_row = state_row.reshape(-1)
+    trans = (distinct[:, 2:], distinct[:, 0].astype(np.intp), state_row)
+    assert np.array_equal(trans[0][state_row], tri.reshape(-1, T))
+    assert np.array_equal(distinct[state_row, 1], end.reshape(-1))
+    return emit, start, trans, distinct[:, 1]
 
 
 def _random_tables(rng, order):

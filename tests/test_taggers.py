@@ -363,9 +363,11 @@ class TestTables:
             forced = SmoothingConfig(unknown_policy=labels[-1])
             for smoothing in self.SMOOTHINGS + (forced,):
                 first, second = scalar_tables(model, smoothing)
-                got_labels, start2, (rows, _, state_row), tri_end = taggers.trigram_tables(
+                got_labels, start2, (rows, _, state_row), end = taggers.trigram_tables(
                     model, smoothing)
+                # the rows and the per-row end, expanded to the pair states
                 tri = rows[state_row].reshape(len(labels) + 1, len(labels), -1)
+                tri_end = end[state_row].reshape(len(labels) + 1, -1)
                 for got, expected in ((taggers.transition_tables(model, smoothing), first),
                                       ((got_labels, start2, tri, tri_end), second)):
                     assert got[0] == labels
@@ -375,7 +377,8 @@ class TestTables:
 
     def test_trigram_rows_expand_to_the_dense_table(self):
         # one backoff row per tag plus one row per context (a, b) that
-        # occurs; every pair state reads a row of its own current tag
+        # occurs; every pair state reads a row of its own current tag and
+        # the END entry of that row, so a row fixes its states' scores
         rng = make_rng(17)
         for _ in range(100):
             model, _ = random_model(rng)
@@ -388,10 +391,13 @@ class TestTables:
             for smoothing in self.SMOOTHINGS + (forced,):
                 _, p = taggers._transition_probs(model, smoothing, second_order=True)
                 dense = taggers._log_table(p[:T + 1, :T, :T]).reshape(-1, T)
-                rows, ctx, state_row = taggers.trigram_tables(model, smoothing)[2]
+                _, _, (rows, ctx, state_row), end = taggers.trigram_tables(model, smoothing)
                 assert rows.shape == (T + occurring, T)
+                assert end.shape == (T + occurring,)
                 assert np.array_equal(rows[state_row], dense)
                 assert np.array_equal(ctx[state_row], np.tile(np.arange(T), T + 1))
+                assert np.array_equal(end[state_row],
+                                      taggers._log_table(p[:T + 1, :T, T + 1]).reshape(-1))
 
     def test_tables_make_no_scalar_transition_calls(self, monkeypatch):
         names = ("p_bigram_transition", "p_trigram_transition")
