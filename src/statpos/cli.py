@@ -38,9 +38,17 @@ def _smoothing_from(args, tagset):
                            unknown_policy=policy)
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError from every write of its own; one to
+        # standard output (the help) goes to main, as any other write's does
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="statpos",
-                                     description="statistical POS tagging toolkit")
+    parser = _Parser(prog="statpos", description="statistical POS tagging toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("train", help="build a counts model from a tagged corpus")

@@ -7,20 +7,21 @@ kept with the model and filled on first use: per method, the tables its
 kernel reads (the transitions of both orders from one numpy computation over
 count arrays, equal to the p_* values bit for bit; for the trigram only its
 distinct rows, each with its END entry; for hmm the doubled interior, built
-once), and one float64 row per row kind and word: the rows of the known
-words a call lacks come from one numpy computation over their count matrix,
-again equal to the p_* values bit for bit, and one row from the p_*
-functions serves every unknown word.  Every method tags through tag_corpus: stack the rows of all the
-words of its sentences, then take the first maximum of each row (unigram)
-or pass them to one call of the order's Viterbi kernel (bigram, hmm,
-trigram), which lays the sentences out in batches itself.  tag_sentence is
-tag_corpus's batch of one.  decode_with_trace adds a trace: the unigram's
-margins from the rows, next to tag_sentence's tags, and the Viterbi methods'
-path and margins from the kernel's max_marginals, which takes the path of
-the same backward pass.  score_sequence and brute_force_decode recompute the
-objective from the p_* functions and serve as the independent oracle in the
-test suite.  Ties are always broken in favor of the lexicographically
-smallest tag tuple.
+once), and per row kind one float64 matrix with the row index of each word
+filled so far.  The rows of the known words a call lacks come from one numpy
+computation over their count matrix, again equal to the p_* values bit for
+bit, and go to the next free rows; one row from the p_* functions, indexed
+under None, serves every unknown word.  Every method tags through
+tag_corpus: take the rows of all the words of its sentences from the matrix
+at once, then take the first maximum of each row (unigram) or pass them to
+one call of the order's Viterbi kernel (bigram, hmm, trigram), which lays
+the sentences out in batches itself.  tag_sentence is tag_corpus's batch
+of one.  decode_with_trace adds a trace: the unigram's margins from the
+rows, next to tag_sentence's tags, and the Viterbi methods' path and margins
+from the kernel's max_marginals, which takes the path of the same backward
+pass.  score_sequence and brute_force_decode recompute the objective from
+the p_* functions and serve as the independent oracle in the test suite.
+Ties are always broken in favor of the lexicographically smallest tag tuple.
 """
 
 import itertools
@@ -205,35 +206,41 @@ _BLOCKS = {_log_emission: _emission_block, _unigram_lexical_prob: _lexical_block
 
 
 def _fill_rows(model, smoothing, tables, prob, words):
-    """Cache the rows of prob that words need and tables[prob] lacks: those
-    of the known words from one count-array step, and the one row of every
+    """Fill the rows of prob that words need and tables[prob] lacks at the
+    next free rows of its matrix, which at least doubles when full: those of
+    the known words from one count-array step, and the one row of every
     unknown word, under None, from prob itself."""
-    labels = tables["labels"]
-    cache = tables.setdefault(prob, {})
-    known = []
-    for word in dict.fromkeys(words):
-        if word in model.vocabulary:
-            if word not in cache:
-                known.append(word)
-        elif None not in cache:
-            cache[None] = np.array([prob(model, smoothing, word, t) for t in labels])
+    labels, vocabulary = tables["labels"], model.vocabulary
+    matrix, index = tables.get(prob) or (np.empty((0, len(labels))), {})
+    known = [w for w in dict.fromkeys(words) if w in vocabulary and w not in index]
+    unknown = [] if None in index else [w for w in words if w not in vocabulary][:1]
+    start = len(index)
+    stop = start + len(known) + len(unknown)
+    if stop > len(matrix):
+        grown = np.empty((max(stop, 2 * len(matrix)), len(labels)))
+        grown[:start] = matrix[:start]
+        matrix = grown
+    tables[prob] = matrix, index
     if known:
-        cache.update(zip(known, _BLOCKS[prob](model, smoothing, labels, known)))
+        matrix[start:start + len(known)] = _BLOCKS[prob](model, smoothing, labels, known)
+        index.update(zip(known, itertools.count(start)))
+    if unknown:
+        matrix[stop - 1] = [prob(model, smoothing, unknown[0], t) for t in labels]
+        index[None] = stop - 1
 
 
 def _rows(model, smoothing, tables, words, prob):
-    """The words' rows of prob over the labels, stacked (W,T); tables[prob]
-    keeps each word's row, under None for every unknown word, and the rows it
-    lacks are filled first, in one step."""
+    """The words' rows of prob over the labels, (W,T), in one take from
+    tables[prob]: a float64 matrix and the row of each word filled so far,
+    with the one row of every unknown word under None.  The rows the words
+    lack are filled first, in one step."""
     vocabulary = model.vocabulary
-    cache = tables.get(prob, {})
     try:
-        rows = [cache[w if w in vocabulary else None] for w in words]
+        matrix, index = tables[prob]
+        return matrix.take([index[w if w in vocabulary else None] for w in words], axis=0)
     except KeyError:
         _fill_rows(model, smoothing, tables, prob, words)
-        cache = tables[prob]
-        rows = [cache[w if w in vocabulary else None] for w in words]
-    return np.concatenate(rows).reshape(len(rows), -1)
+        return _rows(model, smoothing, tables, words, prob)
 
 
 def _tables(model, smoothing):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -7,19 +8,30 @@ from pathlib import Path
 
 import pytest
 
-from statpos import cli, errors, evaluation
+from statpos import cli, counts, errors, evaluation, kernels, taggers
 from statpos.cli import main
 
 TRAIN = "a/NN b/VM\nc/JJ d/QC\na/NN d/QC\n"
+# the console-script check's corpus, in which the sentinel spelling <S> is a word
+CI_TRAIN = "a/NN b/VM\nc/JJ b/VM\n<S>/NN a/VM\n"
+
+
+def _trained(tmp_path, text):
+    corpus = tmp_path / "train.txt"
+    corpus.write_text(text, encoding="utf-8")
+    model = tmp_path / "model.txt"
+    assert main(["train", "--corpus", str(corpus), "--model", str(model)]) == 0
+    return model
 
 
 @pytest.fixture
 def model_path(tmp_path):
-    corpus = tmp_path / "train.txt"
-    corpus.write_text(TRAIN, encoding="utf-8")
-    model = tmp_path / "model.txt"
-    assert main(["train", "--corpus", str(corpus), "--model", str(model)]) == 0
-    return model
+    return _trained(tmp_path, TRAIN)
+
+
+@pytest.fixture
+def ci_model_path(tmp_path):
+    return _trained(tmp_path, CI_TRAIN)
 
 
 def run(capsys, argv):
@@ -260,6 +272,28 @@ class TestTagChunks:
     """`tag` reads and writes its input a chunk of lines at a time."""
 
     RAW = b"a b\r\n\r\n   \nc d a b\n\t\nd\r\nzzz a\n\n\na b c d a b c\r\nb"
+    # the console-script check's lines, the last of them 300 words
+    LONG = ("a b\n\nc b a b c a\n   \nb\nc b <S> a\n"
+            + " ".join(itertools.islice(itertools.cycle("a b c b a <S> c z".split()), 300))
+            + "\n").encode()
+
+    @staticmethod
+    def tagged(tmp_path, tag, raw, chunk, monkeypatch):
+        """The output of tag on the whole of raw, read chunk lines at a time,
+        and the output of each line of raw tagged in its own run, in order."""
+        each = b""
+        for i, line in enumerate(raw.splitlines(keepends=True)):
+            src = tmp_path / f"line{i}.txt"
+            src.write_bytes(line)
+            out = tmp_path / f"line{i}.out"
+            assert main([*tag, "--input", str(src), "--output", str(out)]) == 0
+            each += out.read_bytes()
+        src = tmp_path / "in.txt"
+        src.write_bytes(raw)
+        out = tmp_path / "out.txt"
+        monkeypatch.setattr(cli, "CHUNK_LINES", chunk)
+        assert main([*tag, "--input", str(src), "--output", str(out)]) == 0
+        return out.read_bytes(), each
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     @pytest.mark.parametrize("method", ["unigram", "bigram", "trigram", "hmm"])
@@ -267,22 +301,36 @@ class TestTagChunks:
                                               method, chunk):
         # blank, whitespace-only and CRLF lines, and a last line without a
         # newline: the output of each line tagged in its own run, in order
-        expected = b""
-        for i, line in enumerate(self.RAW.splitlines(keepends=True)):
-            src = tmp_path / f"line{i}.txt"
-            src.write_bytes(line)
-            out = tmp_path / f"line{i}.out"
-            assert main(["tag", "--model", str(model_path), "--method", method,
-                         "--input", str(src), "--output", str(out)]) == 0
-            expected += out.read_bytes()
-        src = tmp_path / "in.txt"
-        src.write_bytes(self.RAW)
-        out = tmp_path / "out.txt"
-        monkeypatch.setattr(cli, "CHUNK_LINES", chunk)
-        assert main(["tag", "--model", str(model_path), "--method", method,
-                     "--input", str(src), "--output", str(out)]) == 0
-        assert out.read_bytes() == expected
-        assert expected.count(b"\n") == len(self.RAW.splitlines())
+        whole, each = self.tagged(tmp_path, ["tag", "--model", str(model_path), "--method", method],
+                                  self.RAW, chunk, monkeypatch)
+        assert whole == each
+        assert each.count(b"\n") == len(self.RAW.splitlines())
+
+    @pytest.mark.parametrize("chunk", [2, cli.CHUNK_LINES])
+    @pytest.mark.parametrize("alpha", ["0.001", "0"])
+    @pytest.mark.parametrize("method", ["unigram", "bigram", "trigram", "hmm"])
+    def test_long_line_same_bytes_as_one_line_at_a_time(self, ci_model_path, tmp_path,
+                                                        monkeypatch, method, alpha, chunk):
+        # unsmoothed, every bigram and hmm path of the line "b" scores -inf;
+        # in chunks of two lines, later chunks fill rows of words not seen
+        # yet, and in one chunk the long line shares a batch with the others
+        whole, each = self.tagged(tmp_path, ["tag", "--model", str(ci_model_path),
+                                             "--method", method, "--alpha", alpha],
+                                  self.LONG, chunk, monkeypatch)
+        assert whole == each
+        assert each.count(b"\n") == len(self.LONG.splitlines())
+
+    def test_long_line_takes_several_blocks(self, ci_model_path):
+        # the backward pass takes its backpointers in blocks of at most
+        # BLOCK_CELLS candidates, T x K per position of one sentence
+        model = counts.load_model(ci_model_path)
+        smoothing = counts.SmoothingConfig()
+        tables = taggers._tables(model, smoothing)
+        steps = len(self.LONG.splitlines()[-1].split()) - 1
+        for method, blocks in (("bigram", 5), ("trigram", 6)):
+            _, _, end = taggers._kernel_tables(model, smoothing, tables, method)
+            per_block = kernels.BLOCK_CELLS // (len(model.tagset) * end.size)
+            assert -(-steps // per_block) == blocks
 
     def test_flushes_each_chunk(self, model_path, tmp_path, monkeypatch):
         # what a chunk tags reaches the output before the next chunk is read
@@ -553,6 +601,18 @@ class TestProbe:
         assert "a/NN b/VM" in out
         assert "path_score" in out
 
+    @pytest.mark.parametrize("method", ["unigram", "bigram", "trigram", "hmm"])
+    def test_decode_path_is_what_tag_writes(self, ci_model_path, tmp_path, capsys, method):
+        src = tmp_path / "cba.txt"
+        src.write_text("c b a\n", encoding="utf-8")
+        code, trace, _ = run(capsys, ["probe", "--model", str(ci_model_path),
+                                      "decode", method, "c", "b", "a"])
+        assert code == 0
+        code, tagged, _ = run(capsys, ["tag", "--model", str(ci_model_path), "--method", method,
+                                       "--input", str(src)])
+        assert code == 0
+        assert trace.splitlines(keepends=True)[0] == tagged
+
     def test_lex_unknown_word(self, model_path, capsys):
         code, out, err = run(capsys, ["probe", "--model", str(model_path), "lex", "zzz"])
         assert code == 1
@@ -697,7 +757,7 @@ class TestClosedStdout:
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", ["train", "tag", "eval", "eval-counts", "probe-emit",
-                                         "probe-decode"])
+                                         "probe-decode", "help"])
     def test_one_error_line(self, model_path, tmp_path, command, unbuffered):
         corpus = tmp_path / "train.txt"
         corpus.write_text(TRAIN, encoding="utf-8")
@@ -711,6 +771,7 @@ class TestClosedStdout:
             "eval-counts": ["eval", "--counts", "3", "4"],
             "probe-emit": ["probe", "--model", str(model_path), "emit", "a", "NN"],
             "probe-decode": ["probe", "--model", str(model_path), "decode", "hmm", "a", "b"],
+            "help": ["--help"],
         }[command]
         child = subprocess.Popen([sys.executable, "-m", "statpos.cli", *argv],
                                  env=child_env(PYTHONUNBUFFERED=unbuffered),

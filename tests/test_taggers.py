@@ -543,6 +543,89 @@ class TestRows:
         tag_sentence(["oov3"], model, cfg("bigram"))
         assert calls == {"p_word_given_tag": len(model.tagset)}
 
+    @staticmethod
+    def reference(model, smoothing, words, prob):
+        labels = model.tagset.sorted_labels()
+        return np.array([[prob(model, smoothing, w, t) for t in labels] for w in words])
+
+    def test_one_fill_for_filled_new_and_unknown_words(self, monkeypatch):
+        calls = count_calls(monkeypatch, taggers, ("_fill_rows",))
+        rng = make_rng(29)
+        mixed = 0
+        for _ in range(30):
+            model, _ = random_model(rng)
+            known = [w for w in WORD_POOL if w in model.vocabulary]
+            if len(known) < 2:
+                continue
+            mixed += 1
+            for smoothing in self.SMOOTHINGS:
+                for prob in self.KINDS:
+                    tables = {"labels": model.tagset.sorted_labels()}
+                    taggers._rows(model, smoothing, tables, known[:1], prob)
+                    calls.clear()
+                    # a filled word, known words not seen yet, unknown words
+                    words = ["oov1", known[0], *known[1:], "oov2", known[0], known[-1]]
+                    got = taggers._rows(model, smoothing, tables, words, prob)
+                    assert calls == {"_fill_rows": 1}
+                    expected = self.reference(model, smoothing, words, prob)
+                    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert mixed > 10
+
+    def test_first_call_holds_only_unknown_words(self):
+        model, corpus = random_model(make_rng(5))
+        known = [w for w in WORD_POOL if w in model.vocabulary]
+        for smoothing in self.SMOOTHINGS:
+            for prob in self.KINDS:
+                tables = {"labels": model.tagset.sorted_labels()}
+                for words in (["oov1", "oov2", "oov1"], ["oov3", *known]):
+                    got = taggers._rows(model, smoothing, tables, words, prob)
+                    expected = self.reference(model, smoothing, words, prob)
+                    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        for method in METHODS:
+            # a fresh model, whose table cache is empty
+            fresh = build_counts(corpus, model.tagset)
+            sentence = ["oov1", "oov2", "oov1"]
+            assert tag_sentence(sentence, fresh, cfg(method)) == brute_force_decode(
+                sentence, model, cfg(method))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_unknown_words_stay_out_of_the_index(self, method):
+        model, _ = random_model(make_rng(5))
+        known = [w for w in WORD_POOL if w in model.vocabulary]
+        for i in range(0, 1000, 10):
+            # 1,000 distinct unknown words, among the known ones
+            tag_corpus([[f"oov{j}", known[j % len(known)]] for j in range(i, i + 10)],
+                       model, cfg(method))
+        tables = model._tables[SmoothingConfig()]
+        kinds = [prob for prob in self.KINDS if prob in tables]
+        assert len(kinds) == 1
+        for prob in kinds:
+            _, index = tables[prob]
+            assert len(index) <= len(model.vocabulary) + 1
+            assert set(index) <= set(model.vocabulary) | {None}
+
+    def test_a_fill_across_a_growth_step_keeps_the_filled_rows(self):
+        rng = make_rng(31)
+        tagset = Tagset(["JJ", "NN", "VM"])
+        words = [f"w{i}" for i in range(60)]
+        model = build_counts([[(w, rng.choice(tagset.sorted_labels())) for w in words[i:i + 6]]
+                              for i in range(0, 60, 6)], tagset)
+        for smoothing in self.SMOOTHINGS:
+            for prob in self.KINDS:
+                tables = {"labels": tagset.sorted_labels()}
+                taggers._rows(model, smoothing, tables, ["oov1", *words[:5]], prob)
+                matrix, index = tables[prob]
+                filled = matrix[:len(index)].copy()
+                # more new rows than the matrix has free, in one fill
+                new = words[5:5 + len(matrix) + 1]
+                call = [*new, "oov2", *words[:5]]
+                got = taggers._rows(model, smoothing, tables, call, prob)
+                grown, index = tables[prob]
+                assert len(grown) > len(matrix) and len(index) == len(filled) + len(new)
+                assert grown[:len(filled)].tobytes() == filled.tobytes()
+                expected = self.reference(model, smoothing, call, prob)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     @pytest.mark.parametrize("method", METHODS)
     def test_warm_calls_only_read_the_cache(self, method, monkeypatch):
         calls = count_calls(monkeypatch, taggers, ("_fill_rows",))
