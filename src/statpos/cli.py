@@ -140,7 +140,9 @@ def cmd_eval(args):
         if not (0 <= correct <= total and total > 0):
             raise StatposError(f"--counts needs 0 <= CORRECT <= TOTAL and TOTAL > 0, "
                                f"got {correct} {total}")
-        print(f"accuracy: {evaluation.round_percent(evaluation.accuracy_percent(correct, total))}")
+        # the keys of format_report's accuracy line in each style
+        key = {"plain": "accuracy: ", "tsv": "accuracy_percent\t"}[args.style]
+        print(f"{key}{evaluation.round_percent(evaluation.accuracy_percent(correct, total))}")
         return 0
     if not (args.model and args.method and args.gold):
         raise StatposError("--model, --method and --gold are required without --counts")

@@ -12,8 +12,8 @@ from statpos import cli, counts, errors, evaluation, kernels, taggers
 from statpos.cli import main
 
 TRAIN = "a/NN b/VM\nc/JJ d/QC\na/NN d/QC\n"
-# the console-script check's corpus, in which the sentinel spelling <S> is a word
-CI_TRAIN = "a/NN b/VM\nc/JJ b/VM\n<S>/NN a/VM\n"
+# a corpus in which the sentinel spelling <S> is a word
+SENTINEL_WORD_TRAIN = "a/NN b/VM\nc/JJ b/VM\n<S>/NN a/VM\n"
 
 
 def _trained(tmp_path, text):
@@ -30,8 +30,8 @@ def model_path(tmp_path):
 
 
 @pytest.fixture
-def ci_model_path(tmp_path):
-    return _trained(tmp_path, CI_TRAIN)
+def sentinel_word_model_path(tmp_path):
+    return _trained(tmp_path, SENTINEL_WORD_TRAIN)
 
 
 def run(capsys, argv):
@@ -272,7 +272,7 @@ class TestTagChunks:
     """`tag` reads and writes its input a chunk of lines at a time."""
 
     RAW = b"a b\r\n\r\n   \nc d a b\n\t\nd\r\nzzz a\n\n\na b c d a b c\r\nb"
-    # the console-script check's lines, the last of them 300 words
+    # lines that end in a 300-word line, in which <S> is a word
     LONG = ("a b\n\nc b a b c a\n   \nb\nc b <S> a\n"
             + " ".join(itertools.islice(itertools.cycle("a b c b a <S> c z".split()), 300))
             + "\n").encode()
@@ -309,21 +309,22 @@ class TestTagChunks:
     @pytest.mark.parametrize("chunk", [2, cli.CHUNK_LINES])
     @pytest.mark.parametrize("alpha", ["0.001", "0"])
     @pytest.mark.parametrize("method", ["unigram", "bigram", "trigram", "hmm"])
-    def test_long_line_same_bytes_as_one_line_at_a_time(self, ci_model_path, tmp_path,
-                                                        monkeypatch, method, alpha, chunk):
+    def test_long_line_same_bytes_as_one_line_at_a_time(self, sentinel_word_model_path,
+                                                        tmp_path, monkeypatch, method, alpha,
+                                                        chunk):
         # unsmoothed, every bigram and hmm path of the line "b" scores -inf;
         # in chunks of two lines, later chunks fill rows of words not seen
         # yet, and in one chunk the long line shares a batch with the others
-        whole, each = self.tagged(tmp_path, ["tag", "--model", str(ci_model_path),
+        whole, each = self.tagged(tmp_path, ["tag", "--model", str(sentinel_word_model_path),
                                              "--method", method, "--alpha", alpha],
                                   self.LONG, chunk, monkeypatch)
         assert whole == each
         assert each.count(b"\n") == len(self.LONG.splitlines())
 
-    def test_long_line_takes_several_blocks(self, ci_model_path):
+    def test_long_line_takes_several_blocks(self, sentinel_word_model_path):
         # the backward pass takes its backpointers in blocks of at most
         # BLOCK_CELLS candidates, T x K per position of one sentence
-        model = counts.load_model(ci_model_path)
+        model = counts.load_model(sentinel_word_model_path)
         smoothing = counts.SmoothingConfig()
         tables = taggers._tables(model, smoothing)
         steps = len(self.LONG.splitlines()[-1].split()) - 1
@@ -465,9 +466,11 @@ class TestEval:
         assert "accuracy: 100.00" in out
 
     def test_counts_self_check(self, capsys):
-        code, out, _ = run(capsys, ["eval", "--counts", "19921", "25744"])
-        assert code == 0
-        assert "accuracy: 77.38" in out
+        # the accuracy line of format_report in each style
+        for style, expected in (("plain", "accuracy: 77.38\n"),
+                                ("tsv", "accuracy_percent\t77.38\n")):
+            code, out, _ = run(capsys, ["eval", "--counts", "19921", "25744", "--style", style])
+            assert (code, out) == (0, expected)
 
     def test_counts_three_of_four(self, capsys):
         code, out, _ = run(capsys, ["eval", "--counts", "3", "4"])
@@ -492,13 +495,15 @@ class TestEval:
 
     @pytest.mark.parametrize("style", ["plain", "tsv"])
     def test_empty_gold(self, model_path, tmp_path, capsys, style):
+        # blank lines only, and no bytes at all
         gold = tmp_path / "gold.txt"
-        gold.write_text("\n\n", encoding="utf-8")
-        code, out, err = run(capsys, ["eval", "--model", str(model_path), "--method", "hmm",
-                                      "--gold", str(gold), "--style", style])
-        assert code == 2
-        assert out == ""
-        assert err == "error: empty gold corpus\n"
+        for text in ("\n\n", ""):
+            gold.write_text(text, encoding="utf-8")
+            code, out, err = run(capsys, ["eval", "--model", str(model_path), "--method", "hmm",
+                                          "--gold", str(gold), "--style", style])
+            assert code == 2
+            assert out == ""
+            assert err == "error: empty gold corpus\n"
 
     @pytest.mark.parametrize("style", ["plain", "tsv"])
     @pytest.mark.parametrize("method", ["unigram", "bigram", "trigram", "hmm"])
@@ -602,14 +607,15 @@ class TestProbe:
         assert "path_score" in out
 
     @pytest.mark.parametrize("method", ["unigram", "bigram", "trigram", "hmm"])
-    def test_decode_path_is_what_tag_writes(self, ci_model_path, tmp_path, capsys, method):
+    def test_decode_path_is_what_tag_writes(self, sentinel_word_model_path, tmp_path, capsys,
+                                            method):
         src = tmp_path / "cba.txt"
         src.write_text("c b a\n", encoding="utf-8")
-        code, trace, _ = run(capsys, ["probe", "--model", str(ci_model_path),
+        code, trace, _ = run(capsys, ["probe", "--model", str(sentinel_word_model_path),
                                       "decode", method, "c", "b", "a"])
         assert code == 0
-        code, tagged, _ = run(capsys, ["tag", "--model", str(ci_model_path), "--method", method,
-                                       "--input", str(src)])
+        code, tagged, _ = run(capsys, ["tag", "--model", str(sentinel_word_model_path),
+                                       "--method", method, "--input", str(src)])
         assert code == 0
         assert trace.splitlines(keepends=True)[0] == tagged
 
@@ -701,7 +707,8 @@ BOM = b"\xef\xbb\xbf"
 
 class TestByteOrderMark:
     """A file or standard input that opens with a UTF-8 byte order mark reads
-    as its twin without one."""
+    as its twin without one, and a model file with CRLF line ends as its
+    twin with LF ones."""
 
     TAGS = b"NN\nVM\nJJ\nQC\n"
 
@@ -727,12 +734,14 @@ class TestByteOrderMark:
     def test_model_file(self, model_path, tmp_path, capsys):
         bom_model = tmp_path / "bom-model.txt"
         bom_model.write_bytes(BOM + model_path.read_bytes())
+        crlf_model = tmp_path / "crlf-model.txt"
+        crlf_model.write_bytes(model_path.read_bytes().replace(b"\n", b"\r\n"))
         src = tmp_path / "in.txt"
         src.write_text("a b\nc d\n", encoding="utf-8")
         outcomes = [run(capsys, ["tag", "--model", str(model), "--method", "hmm",
                                  "--input", str(src)])
-                    for model in (model_path, bom_model)]
-        assert outcomes[0] == outcomes[1] == (0, "a/NN b/VM\nc/JJ d/QC\n", "")
+                    for model in (model_path, bom_model, crlf_model)]
+        assert outcomes == [(0, "a/NN b/VM\nc/JJ d/QC\n", "")] * 3
 
     def test_stdin(self, model_path, capsys, monkeypatch):
         outcomes = []
