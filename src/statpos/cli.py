@@ -84,7 +84,18 @@ def build_parser():
     return parser
 
 
+def _same_file(a, b):
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def cmd_train(args):
+    # the model is written over the path it names, so it must be neither input
+    for option, path in (("--corpus", args.corpus), ("--tagset", args.tagset)):
+        if path is not None and _same_file(path, args.model):
+            raise StatposError(f"{option} and --model are the same file {args.model!r}")
     tagset = Tagset.from_file(args.tagset) if args.tagset else default_tagset()
     sentences, skipped = corpus_io.load_corpus(args.corpus, tagset, strict=not args.lenient)
     model = counts_mod.build_counts(sentences, tagset)

@@ -51,16 +51,31 @@ def load_corpus(source, tagset, strict=True):
 
 
 def _load_stream(fh, tagset, strict):
+    # each token that passed validation in this call -> its (word, tag) pair,
+    # so a token is split once and every sentence shares its pair tuples
+    pairs = {}
+    pair = pairs.__getitem__
+    labels = frozenset(tagset)  # a set's membership test, not a method call
     sentences = []
     skipped = 0
     lineno = 0
     try:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
+            tokens = raw.split()
+            if not tokens:
                 continue
+            for token in tokens:
+                if token not in pairs:
+                    word, _, tag = token.rpartition("/")
+                    if not word or tag not in labels:
+                        break
+                    pairs[token] = (word, tag)
+            else:
+                sentences.append(list(map(pair, tokens)))
+                continue
+            # a bad token: parse_tagged_line names it
             try:
-                sentences.append(parse_tagged_line(line, tagset))
+                sentences.append(parse_tagged_line(raw.rstrip("\r\n"), tagset))
             except (EmptyLine, MalformedToken, UnknownTag) as e:
                 if strict:
                     raise CorpusLineError(lineno, e) from e

@@ -11,6 +11,8 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .errors import (
     CorruptSection,
@@ -141,24 +143,23 @@ class CountsModel:
         raise UnknownTag(tag)
 
 
+_second = itemgetter(1)
+
+
 def build_counts(corpus, tagset):
-    """Count the word/tag pairs and the padded tag trigrams of a list of
+    """Count the word/tag pairs and the padded tag trigrams of an iterable of
     tagged sentences, none of them empty; CountsModel derives the other
-    tables from them."""
+    tables from them.  Each table is one Counter pass, so its keys keep the
+    order in which they first occur."""
+    corpus = list(corpus)
     if not corpus:
         raise EmptyCorpus("empty corpus")
-    word_tag = Counter()
-    trigram = Counter()
-    for sentence in corpus:
-        if not sentence:
-            # tag_sentence refuses it too; its padding would count (START, START, END)
-            raise EmptySentence("empty sentence in the corpus")
-        tags = [START, START]
-        for word, tag in sentence:
-            word_tag[word, tag] += 1
-            tags.append(tag)
-        tags.append(END)
-        trigram.update(zip(tags, tags[1:], tags[2:]))
+    if not all(corpus):
+        # tag_sentence refuses it too; its padding would count (START, START, END)
+        raise EmptySentence("empty sentence in the corpus")
+    word_tag = Counter(map(tuple, chain.from_iterable(corpus)))
+    padded = [[START, START, *map(_second, sentence), END] for sentence in corpus]
+    trigram = Counter(chain.from_iterable(zip(tags, tags[1:], tags[2:]) for tags in padded))
     return CountsModel(tagset, word_tag, trigram)
 
 
@@ -275,21 +276,19 @@ def save_model(model, sink):
 
 
 def _write_model(model, fh):
-    fh.write(MODEL_HEADER + "\n")
+    def section(name, records):
+        return f"[{name}]\n{''.join(records)}count={len(records)}\n"
 
-    def section(name, rows):
-        fh.write(f"[{name}]\n")
-        n = 0
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
-            n += 1
-        fh.write(f"count={n}\n")
+    def records(table, fields):
+        # sorting the keys alone leaves the counts out of the comparisons
+        return [f"{fields(key)}\t{table[key]}\n" for key in sorted(table)]
 
-    section("tagset", ([t] for t in model.tagset))
-    section("word_tag", ((w, t, str(c)) for (w, t), c in sorted(model.word_tag_count.items())))
-    section("tag", ((t, str(c)) for t, c in sorted(model.tag_count.items())))
-    section("bigram", ((*k, str(c)) for k, c in sorted(model.tag_bigram_count.items())))
-    section("trigram", ((*k, str(c)) for k, c in sorted(model.tag_trigram_count.items())))
+    fh.write(MODEL_HEADER + "\n"
+             + section("tagset", [f"{t}\n" for t in model.tagset])
+             + section("word_tag", records(model.word_tag_count, "\t".join))
+             + section("tag", records(model.tag_count, str))
+             + section("bigram", records(model.tag_bigram_count, "\t".join))
+             + section("trigram", records(model.tag_trigram_count, "\t".join)))
 
 
 def load_model(source):

@@ -121,6 +121,35 @@ class TestTrain:
         assert list(model_dir.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "models"]
 
+    @pytest.mark.parametrize("option", ["--corpus", "--tagset"])
+    def test_model_is_an_input(self, tmp_path, capsys, monkeypatch, option):
+        # refused before anything is read, since the model would replace the file
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a/NN b/VM\n", encoding="utf-8")
+        tagfile = tmp_path / "tags.txt"
+        tagfile.write_text("NN\nVM\n", encoding="utf-8")
+        target = corpus if option == "--corpus" else tagfile
+        os.link(target, tmp_path / "link.txt")
+        monkeypatch.chdir(tmp_path)
+        for model in (str(target), target.name, "./" + target.name, "link.txt"):
+            code, out, err = run(capsys, ["train", "--corpus", str(corpus), "--tagset",
+                                          str(tagfile), "--model", model])
+            assert code == 1
+            assert out == ""
+            assert err == f"error: {option} and --model are the same file {model!r}\n"
+            assert corpus.read_text(encoding="utf-8") == "a/NN b/VM\n"
+            assert tagfile.read_text(encoding="utf-8") == "NN\nVM\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "link.txt", "tags.txt"]
+
+    def test_model_is_an_unreadable_input(self, tmp_path, capsys):
+        # the same-file refusal comes before the corpus is read
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"caf\xe9/NN\n")
+        code, out, err = run(capsys, ["train", "--corpus", str(corpus), "--model", str(corpus)])
+        assert code == 1
+        assert err == f"error: --corpus and --model are the same file {str(corpus)!r}\n"
+        assert corpus.read_bytes() == b"caf\xe9/NN\n"
+
     def test_word_spelled_like_terminator(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a/NN count=1/NN b/VM\n", encoding="utf-8")

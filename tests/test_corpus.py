@@ -22,10 +22,13 @@ from statpos.errors import (
     EmptyLine,
     IoFailure,
     MalformedToken,
+    StatposError,
     UnknownTag,
 )
 from statpos.taggers import METHODS
 from statpos.tagset import DEFAULT_TAGS, InvalidTagLabel
+
+from randgen import make_rng, random_corpus
 
 
 @pytest.fixture
@@ -119,6 +122,82 @@ class TestLoadCorpus:
             with pytest.raises(CorpusLineError) as exc:
                 load_corpus(path, tagset, strict=strict)
             assert exc.value.lineno == bad
+
+
+def parsed_line_by_line(lines, tagset):
+    """What load_corpus returns in lenient mode, one parse_tagged_line per
+    non-blank line."""
+    sentences, skipped = [], 0
+    for line in lines:
+        if line.strip():
+            try:
+                sentences.append(parse_tagged_line(line, tagset))
+            except (EmptyLine, MalformedToken, UnknownTag):
+                skipped += 1
+    return sentences, skipped
+
+
+class TestLoadCorpusTokenOnce:
+    """load_corpus splits each distinct token once per call; every line must
+    still read as parse_tagged_line reads it."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_corpus(self, seed):
+        rng = make_rng(seed)
+        corpus, tagset = random_corpus(rng, max_sentences=30, max_len=8)
+        lines = [serialize_tagged_sentence(s) for s in corpus] + ["", " \t "]
+        rng.shuffle(lines)
+        text = "\n".join(lines) + "\n"
+        assert load_corpus(io.StringIO(text), tagset) == (parsed_line_by_line(lines, tagset)[0], 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_corpus_with_bad_lines(self, seed):
+        rng = make_rng(seed)
+        corpus, tagset = random_corpus(rng, max_sentences=30, max_len=8)
+        lines = [serialize_tagged_sentence(s) for s in corpus]
+        # each bad token sits among tokens the corpus repeats
+        for bad in ("x/ZZZ", "y", "/NN", "z/", "a//"):
+            good = serialize_tagged_sentence(rng.choice(corpus)).split()
+            good.insert(rng.randint(0, len(good)), bad)
+            lines.append(" ".join(good))
+        rng.shuffle(lines)
+        text = "\n".join(lines) + "\n"
+        expected = parsed_line_by_line(lines, tagset)
+        assert expected[1] == 5
+        assert load_corpus(io.StringIO(text), tagset, strict=False) == expected
+        first = next(i for i, line in enumerate(lines)
+                     if parsed_line_by_line([line], tagset)[1])
+        with pytest.raises(CorpusLineError) as exc:
+            load_corpus(io.StringIO(text), tagset)
+        assert exc.value.lineno == first + 1
+        with pytest.raises(StatposError) as cause:
+            parse_tagged_line(lines[first], tagset)
+        assert str(exc.value) == f"line {first + 1}: {cause.value}"
+
+    def test_bad_token_among_known_ones(self, tagset):
+        text = "a/NN b/VM\nb/VM a/XX\n"
+        with pytest.raises(CorpusLineError) as exc:
+            load_corpus(io.StringIO(text), tagset)
+        assert exc.value.lineno == 2
+        assert isinstance(exc.value.cause, UnknownTag) and exc.value.cause.index == 1
+        assert str(exc.value) == "line 2: unknown tag 'XX' at index 1 in 'b/VM a/XX'"
+        assert load_corpus(io.StringIO(text), tagset, strict=False) == (
+            [[("a", "NN"), ("b", "VM")]], 1)
+
+    def test_shared_pairs(self, tagset):
+        sentences, _ = load_corpus(io.StringIO("a/NN b/VM\nb/VM a/NN\n"), tagset)
+        assert sentences[0][0] is sentences[1][1]
+        assert sentences[0][1] is sentences[1][0]
+
+    def test_no_tokens_kept_across_calls(self, tagset):
+        text = "a/NN b/VM\nb/VM\n"
+        assert load_corpus(io.StringIO(text), tagset)[0] == [[("a", "NN"), ("b", "VM")],
+                                                            [("b", "VM")]]
+        smaller = Tagset(["NN"])
+        with pytest.raises(CorpusLineError) as exc:
+            load_corpus(io.StringIO(text), smaller)
+        assert str(exc.value) == "line 1: unknown tag 'VM' at index 1 in 'a/NN b/VM'"
+        assert load_corpus(io.StringIO(text), smaller, strict=False) == ([], 2)
 
 
 class TestTokenizeRawLine:

@@ -83,6 +83,58 @@ class TestBuildCounts:
         assert m.tag_count == {"NN": 1, "VM": 1, START: 1, END: 1}
 
 
+def per_token_counts(corpus):
+    """The word/tag and padded trigram counts, one token at a time, each
+    table's keys in the order they first occur."""
+    word_tag, trigram = {}, {}
+    for sentence in corpus:
+        tags = [START, START]
+        for word, tag in sentence:
+            word_tag[word, tag] = word_tag.get((word, tag), 0) + 1
+            tags.append(tag)
+        tags.append(END)
+        for key in zip(tags, tags[1:], tags[2:]):
+            trigram[key] = trigram.get(key, 0) + 1
+    return word_tag, trigram
+
+
+def model_text(model):
+    buf = io.StringIO()
+    save_model(model, buf)
+    return buf.getvalue()
+
+
+class TestBuildCountsAgainstPerToken:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_counts_and_key_order(self, seed):
+        model, corpus = random_model(make_rng(seed), max_sentences=30, max_len=8)
+        word_tag, trigram = per_token_counts(corpus)
+        assert list(model.word_tag_count.items()) == list(word_tag.items())
+        assert list(model.tag_trigram_count.items()) == list(trigram.items())
+        assert list(model.vocabulary) == list(dict.fromkeys(w for w, _ in word_tag))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generator_corpus(self, seed):
+        model, corpus = random_model(make_rng(seed), max_sentences=30, max_len=8)
+        from_generator = build_counts((sentence for sentence in corpus), model.tagset)
+        assert list(from_generator.vocabulary) == list(model.vocabulary)
+        assert model_text(from_generator) == model_text(model)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pairs_as_lists(self, seed):
+        model, corpus = random_model(make_rng(seed), max_sentences=30, max_len=8)
+        as_lists = [[list(pair) for pair in sentence] for sentence in corpus]
+        assert model_text(build_counts(as_lists, model.tagset)) == model_text(model)
+
+    def test_empty_generator(self, small_tagset):
+        with pytest.raises(EmptyCorpus):
+            build_counts(iter([]), small_tagset)
+
+    def test_empty_sentence_in_a_generator(self, small_tagset):
+        with pytest.raises(EmptySentence):
+            build_counts(iter([[("a", "NN")], []]), small_tagset)
+
+
 class TestMarginalizationInvariants:
     @pytest.mark.parametrize("seed", range(20))
     def test_tables_are_consistent(self, seed):
